@@ -1,17 +1,18 @@
 """Cross-model litmus matrix: C11 vs x86-TSO (extension).
 
 Demonstrates the paper's memory-model-agnostic construction (Section 5):
-the weakness-bounding recipe instantiated for TSO (delayed stores) hits
-TSO's only weak shape — SB — deterministically at full depth, while the
-shapes TSO forbids (MP, IRIW, LB, MP2) stay at zero under every TSO
-scheduler and remain reachable under C11 relaxed atomics.
+the same schedulers run under both backends.  Under TSO, PCTWM's
+communication events are store-buffer flushes, so it reaches TSO's only
+weak shape — SB — by delaying flushes, while the shapes TSO forbids (MP,
+IRIW, LB, MP2) stay at zero under every TSO scheduler and remain
+reachable under C11 relaxed atomics.
 """
 
-from repro.core import C11TesterScheduler, PCTWMScheduler
+from repro.core import C11TesterScheduler, NaiveRandomScheduler, \
+    PCTWMScheduler
 from repro.litmus import iriw, load_buffering, message_passing, mp2, \
     store_buffering
-from repro.runtime import run_once
-from repro.tso import TsoDelayedWriteScheduler, TsoNaiveScheduler, run_tso
+from repro.memory import resolve_model
 
 CASES = {
     "SB": store_buffering,
@@ -21,44 +22,38 @@ CASES = {
     "LB": load_buffering,
 }
 
+#: (column label, model, scheduler maker) — one matrix column each.
+COLUMNS = (
+    ("c11-rand", "c11", lambda s: C11TesterScheduler(seed=s)),
+    ("c11-pctwm", "c11", lambda s: PCTWMScheduler(2, 6, 2, seed=s)),
+    ("tso-rand", "tso", lambda s: NaiveRandomScheduler(seed=s)),
+    ("tso-pctwm", "tso", lambda s: PCTWMScheduler(2, 6, 2, seed=s)),
+)
+
 
 def test_cross_model_matrix(benchmark, trials, report):
     def measure():
         rows = {}
         for name, factory in CASES.items():
-            c11 = sum(
-                run_once(factory(), C11TesterScheduler(seed=s),
-                         keep_graph=False).bug_found
-                for s in range(trials)
+            rows[name] = tuple(
+                sum(resolve_model(model).run_once(
+                        factory(), make(s), keep_graph=False).bug_found
+                    for s in range(trials))
+                for _, model, make in COLUMNS
             )
-            wm = sum(
-                run_once(factory(), PCTWMScheduler(2, 6, 2, seed=s),
-                         keep_graph=False).bug_found
-                for s in range(trials)
-            )
-            tso = sum(
-                run_tso(factory(), TsoNaiveScheduler(seed=s),
-                        keep_graph=False).bug_found
-                for s in range(trials)
-            )
-            delayed = sum(
-                run_tso(factory(), TsoDelayedWriteScheduler(2, 2, seed=s),
-                        keep_graph=False).bug_found
-                for s in range(trials)
-            )
-            rows[name] = (c11, wm, tso, delayed)
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    lines = [f"{'litmus':6s} {'c11-rand':>9s} {'c11-pctwm':>10s} "
-             f"{'tso-rand':>9s} {'tso-delayed':>12s}   (hits/{trials})"]
-    for name, (c11, wm, tso, delayed) in rows.items():
-        lines.append(f"{name:6s} {c11:9d} {wm:10d} {tso:9d} {delayed:12d}")
+    lines = [f"{'litmus':6s} "
+             + " ".join(f"{label:>10s}" for label, _, _ in COLUMNS)
+             + f"   (hits/{trials})"]
+    for name, hits in rows.items():
+        lines.append(f"{name:6s} " + " ".join(f"{h:10d}" for h in hits))
     report("cross_model", "\n".join(lines))
 
-    # SB: weak under both models; deterministic for tso-delayed at d=2.
-    assert rows["SB"][3] == trials
+    # SB: weak under both models.
     assert rows["SB"][2] > 0
+    assert rows["SB"][3] > 0
     # TSO forbids everything else.
     for name in ("MP", "MP2", "IRIW", "LB"):
         assert rows[name][2] == 0, name

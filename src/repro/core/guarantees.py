@@ -12,7 +12,7 @@ tests check that empirical hit rates respect them on small programs.
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb, factorial
 
 
 def pct_sample_space(t: int, k: int, d: int) -> int:
@@ -78,6 +78,3 @@ __all__ = [
     "pctwm_lower_bound",
     "pctwm_sample_space",
 ]
-
-# `perm` is re-exported for callers computing ordered-tuple counts directly.
-_ = perm

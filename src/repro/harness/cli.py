@@ -114,6 +114,38 @@ def _build_parser() -> argparse.ArgumentParser:
                               "trial); violations are reported as "
                               "'inconsistent', never aborts")
 
+    def add_campaign_flags(cmd: argparse.ArgumentParser) -> None:
+        """The :class:`repro.service.jobs.JobSpec` flags shared by
+        ``campaign`` and ``job submit``."""
+        cmd.add_argument("benchmark")
+        cmd.add_argument("--scheduler", default="pctwm")
+        cmd.add_argument("--trials", type=_positive_int, default=100)
+        cmd.add_argument("--seed", type=_nonnegative_int, default=0)
+        cmd.add_argument("--jobs", type=_positive_int, default=1)
+        cmd.add_argument("--depth", type=int, default=None)
+        cmd.add_argument("--history", type=int, default=None)
+        cmd.add_argument("--max-steps", type=_positive_int, default=20000)
+        cmd.add_argument("--trial-timeout", type=_trial_timeout,
+                         default=None, metavar="SECONDS",
+                         help="per-trial wall-clock budget; over-budget "
+                              "trials are recorded as timeouts, not hangs")
+        cmd.add_argument("--hang-timeout", type=_positive_float,
+                         default=None, metavar="SECONDS",
+                         help="preemptive hang budget: a pool worker "
+                              "whose heartbeat stays stale this long is "
+                              "hard-killed and its shard retried "
+                              "(bit-identically); must exceed "
+                              "--trial-timeout")
+        cmd.add_argument("--memory-limit-mb", type=_positive_float,
+                         default=None, metavar="MIB",
+                         help="soft per-worker RSS ceiling; workers above "
+                              "it are recycled without affecting results")
+        cmd.add_argument("--max-retries", type=_nonnegative_int, default=2,
+                         help="retries per shard lost to a dead worker "
+                              "before degrading to in-process execution")
+        add_sanitize(cmd)
+        add_model(cmd)
+
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--trials", type=_positive_int, default=100,
@@ -158,50 +190,18 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_cmd = sub.add_parser(
         "campaign",
         help="run one hit-rate campaign, optionally sharded over workers")
-    campaign_cmd.add_argument("benchmark")
-    campaign_cmd.add_argument("--scheduler", default="pctwm")
-    campaign_cmd.add_argument("--trials", type=_positive_int, default=100)
-    campaign_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-    campaign_cmd.add_argument("--jobs", type=_positive_int, default=1)
-    campaign_cmd.add_argument("--depth", type=int, default=None)
-    campaign_cmd.add_argument("--history", type=int, default=None)
-    campaign_cmd.add_argument("--max-steps", type=_positive_int,
-                              default=20000)
+    add_campaign_flags(campaign_cmd)
     campaign_cmd.add_argument("--progress", action="store_true",
                               help="print per-shard progress to stderr")
-    campaign_cmd.add_argument("--trial-timeout", type=_trial_timeout,
-                              default=None, metavar="SECONDS",
-                              help="per-trial wall-clock budget; "
-                                   "over-budget trials are recorded as "
-                                   "timeouts, not hangs")
-    campaign_cmd.add_argument("--hang-timeout", type=_positive_float,
-                              default=None, metavar="SECONDS",
-                              help="preemptive hang budget: a pool "
-                                   "worker whose heartbeat stays stale "
-                                   "this long is hard-killed and its "
-                                   "shard retried (bit-identically); "
-                                   "must exceed --trial-timeout")
-    campaign_cmd.add_argument("--memory-limit-mb", type=_positive_float,
-                              default=None, metavar="MIB",
-                              help="soft per-worker RSS ceiling; "
-                                   "workers above it are recycled "
-                                   "without affecting results")
     campaign_cmd.add_argument("--checkpoint", default=None, metavar="PATH",
                               help="append completed trials to this JSONL "
                                    "journal as shards finish")
     campaign_cmd.add_argument("--resume", action="store_true",
                               help="skip trials already in --checkpoint")
-    campaign_cmd.add_argument("--max-retries", type=_nonnegative_int,
-                              default=2,
-                              help="retries per shard lost to a dead "
-                                   "worker before degrading to in-process "
-                                   "execution")
     campaign_cmd.add_argument("--start-method", default=None,
                               choices=("fork", "spawn", "forkserver"),
                               help="multiprocessing start method "
                                    "(default: $REPRO_START_METHOD or fork)")
-    add_sanitize(campaign_cmd)
-    add_model(campaign_cmd)
     campaign_cmd.add_argument("--artifacts", default=None, metavar="DIR",
                               help="write a replayable JSON artifact here "
                                    "for every trial that finds a bug, "
@@ -273,25 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     submit_cmd = job_sub.add_parser(
         "submit", help="queue one campaign on the daemon")
-    submit_cmd.add_argument("benchmark")
-    submit_cmd.add_argument("--scheduler", default="pctwm")
-    submit_cmd.add_argument("--trials", type=_positive_int, default=100)
-    submit_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-    submit_cmd.add_argument("--jobs", type=_positive_int, default=1)
-    submit_cmd.add_argument("--depth", type=int, default=None)
-    submit_cmd.add_argument("--history", type=int, default=None)
-    submit_cmd.add_argument("--max-steps", type=_positive_int,
-                            default=20000)
-    submit_cmd.add_argument("--trial-timeout", type=_trial_timeout,
-                            default=None, metavar="SECONDS")
-    submit_cmd.add_argument("--hang-timeout", type=_positive_float,
-                            default=None, metavar="SECONDS")
-    submit_cmd.add_argument("--memory-limit-mb", type=_positive_float,
-                            default=None, metavar="MIB")
-    submit_cmd.add_argument("--max-retries", type=_nonnegative_int,
-                            default=2)
-    add_sanitize(submit_cmd)
-    add_model(submit_cmd)
+    add_campaign_flags(submit_cmd)
     submit_cmd.add_argument("--wait", action="store_true",
                             help="block until the job finishes and "
                                  "print its result")
@@ -517,10 +499,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(line_charts(series))
         print()
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
 
 
 def _cmd_depth(args) -> int:

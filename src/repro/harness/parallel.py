@@ -70,7 +70,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..runtime.executor import RunResult
@@ -110,18 +110,18 @@ RETRY_BACKOFF_CAP_S = 5.0
 
 @dataclass
 class ShardSpec:
-    """One worker-pool task: a slice of the trial index space.
+    """The trial configuration every shard of one campaign runs under.
 
-    ``indices`` is usually contiguous, but resuming from a checkpoint
-    shards only the *remaining* trials, which may have holes.  Everything
-    in here crosses the process boundary, so the factories must be
-    picklable (registry specs or module-level callables).
+    Shards themselves are plain tuples of trial indices: usually
+    contiguous, but resuming from a checkpoint shards only the
+    *remaining* trials, which may have holes.  This config crosses the
+    process boundary once per worker, so the factories must be picklable
+    (registry specs or module-level callables).
     """
 
     program_factory: ProgramFactory
     scheduler_factory: SchedulerFactory
     base_seed: int
-    indices: Tuple[int, ...]
     max_steps: int = 20000
     count_operations: Optional[Callable[[RunResult], int]] = None
     trial_timeout_s: Optional[float] = None
@@ -194,19 +194,6 @@ class CampaignProgress:
 def print_progress(progress: CampaignProgress) -> None:
     """Default progress hook: one status line per completed shard."""
     print(f"  [campaign] {progress.render()}", file=sys.stderr, flush=True)
-
-
-def _run_shard(shard: ShardSpec) -> ShardResult:
-    """Cold shard entry point: build a runner, run one slice of trials.
-
-    Used for in-process (degraded) execution and by callers that hold a
-    full :class:`ShardSpec`; pooled workers use the warm
-    :func:`_init_worker` / :func:`_run_shard_warm` pair instead.
-    """
-    t0 = time.perf_counter()
-    runner = shard.make_runner()
-    records = [runner.run(index) for index in shard.indices]
-    return ShardResult(shard.indices[0], records, time.perf_counter() - t0)
 
 
 #: Per-worker-process warm state, materialized once by :func:`_init_worker`.
@@ -357,12 +344,13 @@ def _sigterm_as_interrupt():
 class _ShardSupervisor:
     """Runs shards to completion across pool failures and interrupts.
 
-    Owns the retry bookkeeping: ``pending`` shards keyed by their first
-    trial index, a per-shard failure count, and the journal/progress
-    side effects applied exactly once per completed shard.
+    Owns the retry bookkeeping: ``pending`` shards (tuples of trial
+    indices) keyed by their first trial index, a per-shard failure count,
+    and the journal/progress side effects applied exactly once per
+    completed shard.
     """
 
-    def __init__(self, shards: Sequence[ShardSpec], jobs: int,
+    def __init__(self, shards: Sequence[Tuple[int, ...]], jobs: int,
                  ctx, max_retries: int, retry_backoff_s: float,
                  journal: Optional[TrialJournal],
                  on_progress: Callable[[ShardResult], None],
@@ -373,8 +361,8 @@ class _ShardSupervisor:
                  watchdog_stats: Optional[WatchdogStats] = None,
                  watchdog_poll_s: Optional[float] = None,
                  on_pool_change: Optional[Callable[[int], None]] = None):
-        self.pending: Dict[int, ShardSpec] = {
-            s.indices[0]: s for s in shards}
+        self.pending: Dict[int, Tuple[int, ...]] = {
+            shard[0]: shard for shard in shards}
         self.failures: Dict[int, int] = {key: 0 for key in self.pending}
         self.jobs = jobs
         self.ctx = ctx
@@ -399,8 +387,8 @@ class _ShardSupervisor:
         #: shard completes and never retained — the parent's memory is
         #: bounded by the accumulator, not by the campaign size.
         self.accumulator = accumulator
-        #: Indices-free shard config the pool initializer materializes
-        #: once per worker process (the warm path).
+        #: Trial config the pool initializer materializes once per worker
+        #: process, and the in-process fallback once per campaign.
         self.worker_config = worker_config
         #: ``(first trial index, wall seconds)`` per completed shard.
         self.shard_walls: List[Tuple[int, float]] = []
@@ -425,8 +413,8 @@ class _ShardSupervisor:
             self.accumulator.add(record)
         self.on_progress(outcome)
 
-    def _runnable(self) -> Dict[int, ShardSpec]:
-        return {key: spec for key, spec in self.pending.items()
+    def _runnable(self) -> Dict[int, Tuple[int, ...]]:
+        return {key: shard for key, shard in self.pending.items()
                 if self.failures[key] <= self.max_retries}
 
     def _backoff_delay(self, round_index: int) -> float:
@@ -479,7 +467,8 @@ class _ShardSupervisor:
         return (self.hang_timeout_s is not None
                 or self.memory_limit_mb is not None)
 
-    def _run_pool_round(self, runnable: Dict[int, ShardSpec]) -> List[int]:
+    def _run_pool_round(self, runnable: Dict[int, Tuple[int, ...]],
+                        ) -> List[int]:
         """One pool lifetime; returns the shard keys that were lost."""
         workers = min(self.jobs, len(runnable))
         # One board per pool lifetime: a lingering worker of a torn-down
@@ -507,8 +496,8 @@ class _ShardSupervisor:
             watchdog.start()
         clean = False
         try:
-            futures = {executor.submit(_run_shard_warm, spec.indices): key
-                       for key, spec in runnable.items()}
+            futures = {executor.submit(_run_shard_warm, shard): key
+                       for key, shard in runnable.items()}
             lost: List[int] = []
             for future in as_completed(futures):
                 key = futures[future]
@@ -542,9 +531,16 @@ class _ShardSupervisor:
                 self.on_pool_change(-workers)
 
     def _run_in_process(self) -> None:
-        """Run whatever is left in the parent process, in trial order."""
+        """Run whatever is left in the parent process, in trial order,
+        on one warm runner shared by every leftover shard."""
+        if not self.pending:
+            return
+        runner = self.worker_config.make_runner()
         for key in sorted(self.pending):
-            self._complete(key, _run_shard(self.pending[key]))
+            t0 = time.perf_counter()
+            records = [runner.run(index) for index in self.pending[key]]
+            self._complete(key, ShardResult(key, records,
+                                            time.perf_counter() - t0))
 
 
 def run_campaign_parallel(
@@ -699,11 +695,11 @@ def _run_campaign_parallel(
 
     remaining = [i for i in range(trials) if i not in done]
     worker_config = ShardSpec(
-        program_factory, scheduler_factory, base_seed, (), max_steps,
+        program_factory, scheduler_factory, base_seed, max_steps,
         count_operations, trial_timeout_s, sanitize, artifact_dir,
         spin_threshold, record_mode, model)
     shards = [
-        replace(worker_config, indices=tuple(remaining[start:stop]))
+        tuple(remaining[start:stop])
         for start, stop in shard_bounds(len(remaining), max(jobs, 1),
                                         chunks_per_job)
         if stop > start

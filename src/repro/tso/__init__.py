@@ -1,45 +1,15 @@
-"""x86-TSO: store-buffer engine, schedulers, and the generic backend."""
+"""x86-TSO: the store-buffer backend behind ``resolve_model("tso")``."""
 
 from .backend import (
     FlushAgent,
     FlushOp,
     TsoExecutionState,
-    run_once_tso,
-)
-from .backend import TsoExecutor as TsoBackendExecutor
-from .engine import (
-    Action,
-    FLUSH,
-    STEP,
     TsoExecutor,
-    TsoRunResult,
-    TsoScheduler,
-    TsoState,
-    run_tso,
-)
-from .schedulers import (
-    TsoDelayedWriteScheduler,
-    TsoEagerScheduler,
-    TsoNaiveScheduler,
-    TsoPCTScheduler,
 )
 
 __all__ = [
-    "Action",
-    "FLUSH",
     "FlushAgent",
     "FlushOp",
-    "STEP",
-    "TsoBackendExecutor",
-    "TsoDelayedWriteScheduler",
-    "TsoEagerScheduler",
     "TsoExecutionState",
     "TsoExecutor",
-    "TsoNaiveScheduler",
-    "TsoPCTScheduler",
-    "TsoRunResult",
-    "TsoScheduler",
-    "TsoState",
-    "run_once_tso",
-    "run_tso",
 ]

@@ -1,11 +1,11 @@
 """The x86-TSO backend for the generic scheduler stack.
 
-:mod:`repro.tso.engine` drives TSO programs with its own action-based
-scheduler API.  This module instead plugs TSO into the *generic*
-execution pipeline (:class:`repro.runtime.executor.Executor`), so the
-probabilistic schedulers — naive, PCT, PCTWM, POS — test TSO programs
-unchanged.  The trick is to make the model's extra nondeterminism look
-like thread nondeterminism:
+This module plugs TSO into the *generic* execution pipeline
+(:class:`repro.runtime.executor.Executor`), so the probabilistic
+schedulers — naive, PCT, PCTWM, POS — test TSO programs unchanged; run
+it through ``resolve_model("tso").run_once(program, scheduler)``.  The
+trick is to make the model's extra nondeterminism look like thread
+nondeterminism:
 
 * every thread ``i`` gets a *flush agent* — a pseudo-thread with tid
   ``n + i`` whose pending op is always a :class:`FlushOp` for the oldest
@@ -62,10 +62,8 @@ from ..runtime.ops import (
     _op_uids,
 )
 from ..runtime.program import Program
-from ..runtime.scheduler import Scheduler
 
-__all__ = ["FlushAgent", "FlushOp", "TsoExecutionState", "TsoExecutor",
-           "run_once_tso"]
+__all__ = ["FlushAgent", "FlushOp", "TsoExecutionState", "TsoExecutor"]
 
 
 class FlushOp(Op):
@@ -302,7 +300,7 @@ class TsoExecutor(Executor):
 
         The drain is part of the instruction's own step: commits fire
         scheduler hooks (the stores become visible) but cost no
-        scheduling steps, mirroring the action-based engine.
+        scheduling steps.
         """
         buffer = state.buffers[tid]
         if not buffer:
@@ -430,16 +428,3 @@ class TsoExecutor(Executor):
         FlushOp: _exec_flush,
     }
 
-
-def run_once_tso(program: Program, scheduler: Scheduler,
-                 max_steps: int = 20000, spin_threshold: int = 8,
-                 keep_graph: bool = True,
-                 wall_timeout_s: Optional[float] = None,
-                 sanitize: bool = False, engine: str = "fast") -> RunResult:
-    """Convenience wrapper: one generic-scheduler run under TSO."""
-    executor = TsoExecutor(program, scheduler, max_steps=max_steps,
-                           spin_threshold=spin_threshold,
-                           keep_graph=keep_graph,
-                           wall_timeout_s=wall_timeout_s,
-                           sanitize=sanitize, engine=engine)
-    return executor.run()

@@ -59,14 +59,19 @@ class TestPaperClaimsAtTestScale:
         assert all(info.paper_k_com > 0 for info in BENCHMARKS.values())
 
 
+#: Example script -> a line its output must contain.
+EXAMPLE_OUTPUT = {
+    "examples/quickstart.py": "bug found: True",
+    "examples/tso_vs_c11.py": "tso pctwm*",
+}
+
+
 class TestExamples:
-    @pytest.mark.parametrize("script", [
-        "examples/quickstart.py",
-    ])
+    @pytest.mark.parametrize("script", list(EXAMPLE_OUTPUT))
     def test_example_runs(self, script):
         proc = subprocess.run(
             [sys.executable, script], capture_output=True, text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "bug found: True" in proc.stdout
+        assert EXAMPLE_OUTPUT[script] in proc.stdout

@@ -1,14 +1,17 @@
-"""Tests for the x86-TSO engine and its testing algorithms.
+"""x86-TSO semantics at the program level, through ``resolve_model("tso")``.
 
-The key claims: TSO allows exactly the store→load reordering (SB weak
-outcome reachable; MP, LB, IRIW, coherence shapes all forbidden), and the
-PCTWM-style delayed-write scheduler gives the Section 5.4-style guarantee
-instantiated for TSO: with both SB stores selected (d = 2 of k_writes = 2)
-the weak outcome is hit on every run.
+TSO allows exactly the store→load reordering: the SB weak outcome is
+reachable, while MP, LB, IRIW, the coherence shapes and MP2 stay
+forbidden under every generic scheduler.  A thread sees its own buffered
+stores, MFENCE drains the buffer, and LOCK-prefixed RMWs are atomic.
+The backend's own contracts (declared orders, flush commits, truncation,
+harness round trips) live in ``test_tso_backend.py``.
 """
 
 import pytest
 
+from repro.core import NaiveRandomScheduler, PCTScheduler, PCTWMScheduler
+from repro.core.pos import POSScheduler
 from repro.litmus import (
     corr,
     iriw,
@@ -18,33 +21,30 @@ from repro.litmus import (
     p1,
     store_buffering,
 )
-from repro.memory.events import RLX
-from repro.runtime import Program, require
-from repro.tso import (
-    TsoDelayedWriteScheduler,
-    TsoEagerScheduler,
-    TsoNaiveScheduler,
-    TsoPCTScheduler,
-    run_tso,
+from repro.memory import resolve_model
+from repro.memory.events import RLX, SC
+from repro.runtime import Program, fence, require
+
+TSO = resolve_model("tso")
+
+SCHEDULER_MAKERS = (
+    lambda s: NaiveRandomScheduler(seed=s),
+    lambda s: PCTScheduler(2, 16, seed=s),
+    lambda s: PCTWMScheduler(2, 8, 2, seed=s),
 )
 
 
 def rate(factory, make, trials=200):
-    hits = sum(
-        run_tso(factory(), make(seed), keep_graph=False).bug_found
+    return sum(
+        TSO.run_once(factory(), make(seed), keep_graph=False).bug_found
         for seed in range(trials)
     )
-    return hits
 
 
 class TestTsoSemantics:
     def test_sb_weak_outcome_reachable(self):
         assert rate(store_buffering,
-                    lambda s: TsoNaiveScheduler(seed=s)) > 0
-
-    def test_eager_flushing_is_sequentially_consistent(self):
-        assert rate(store_buffering,
-                    lambda s: TsoEagerScheduler(seed=s)) == 0
+                    lambda s: NaiveRandomScheduler(seed=s)) > 0
 
     @pytest.mark.parametrize("factory", [
         message_passing, load_buffering, iriw, corr, mp2,
@@ -52,9 +52,8 @@ class TestTsoSemantics:
     def test_non_tso_shapes_forbidden(self, factory):
         """TSO preserves W->W, R->R and is multi-copy atomic: only the
         SB shape is weak.  (MP2's bug needs R->R/W->W reordering.)"""
-        assert rate(factory, lambda s: TsoNaiveScheduler(seed=s)) == 0
-        assert rate(factory,
-                    lambda s: TsoDelayedWriteScheduler(2, 4, seed=s)) == 0
+        for make in SCHEDULER_MAKERS:
+            assert rate(factory, make) == 0
 
     def test_store_forwarding(self):
         """A thread always sees its own buffered store."""
@@ -74,13 +73,11 @@ class TestTsoSemantics:
 
         p.add_thread(other)
         for seed in range(50):
-            result = run_tso(p, TsoNaiveScheduler(seed=seed))
+            result = TSO.run_once(p, NaiveRandomScheduler(seed=seed))
             assert not result.bug_found
 
     def test_fence_drains_buffer(self):
-        """SB with fences between store and load is safe on TSO."""
-        from repro.runtime import fence
-        from repro.memory.events import SC as SEQ
+        """SB with an SC fence between store and load is safe on TSO."""
 
         def fenced_sb():
             p = Program("SB+mfence")
@@ -89,12 +86,12 @@ class TestTsoSemantics:
 
             def left():
                 yield x.store(1, RLX)
-                yield fence(SEQ)
+                yield fence(SC)
                 return (yield y.load(RLX))
 
             def right():
                 yield y.store(1, RLX)
-                yield fence(SEQ)
+                yield fence(SC)
                 return (yield x.load(RLX))
 
             p.add_thread(left)
@@ -105,11 +102,8 @@ class TestTsoSemantics:
             )
             return p
 
-        assert rate(fenced_sb, lambda s: TsoNaiveScheduler(seed=s),
-                    300) == 0
-        assert rate(fenced_sb,
-                    lambda s: TsoDelayedWriteScheduler(2, 2, seed=s),
-                    300) == 0
+        for make in SCHEDULER_MAKERS + (lambda s: POSScheduler(seed=s),):
+            assert rate(fenced_sb, make, 300) == 0
 
     def test_rmw_drains_and_is_atomic(self):
         p = Program("tso-rmw")
@@ -121,12 +115,12 @@ class TestTsoSemantics:
         p.add_thread(t, name="a")
         p.add_thread(t, name="b")
         for seed in range(40):
-            result = run_tso(p, TsoNaiveScheduler(seed=seed))
-            final = result.graph.mo_max("X").label.wval
-            assert final == 2
+            result = TSO.run_once(p, NaiveRandomScheduler(seed=seed))
+            assert result.graph.mo_max("X").label.wval == 2
 
     def test_run_completes_with_drained_buffers(self):
-        result = run_tso(store_buffering(), TsoNaiveScheduler(seed=1))
+        result = TSO.run_once(store_buffering(),
+                              NaiveRandomScheduler(seed=1))
         assert result.steps > 0
         # All writes committed: every store has an mo position.
         for event in result.graph.events:
@@ -135,48 +129,12 @@ class TestTsoSemantics:
 
 
 class TestDelayedWriteGuarantee:
-    """The Section 5.4 analogue for TSO."""
-
-    def test_sb_deterministic_at_full_depth(self):
-        """k_writes = 2, d = 2: both stores always selected, both delayed
-        past both loads — the weak outcome on every single run."""
-        assert rate(store_buffering,
-                    lambda s: TsoDelayedWriteScheduler(2, 2, seed=s),
-                    100) == 100
-
-    def test_sb_half_at_depth_one(self):
-        """d = 1 of k_writes = 2: the bug needs the *first-running*
-        thread's store delayed — about half the configurations."""
-        hits = rate(store_buffering,
-                    lambda s: TsoDelayedWriteScheduler(1, 2, seed=s), 400)
-        assert 120 <= hits <= 280
-
-    def test_sb_zero_at_depth_zero(self):
-        assert rate(store_buffering,
-                    lambda s: TsoDelayedWriteScheduler(0, 2, seed=s),
-                    100) == 0
-
-    def test_classic_pct_misses_tso_bugs(self):
-        """PCT schedules SC-like executions: it cannot reach the SB weak
-        outcome no matter the depth — the paper's Section 3 point, shown
-        on a second memory model."""
-        for depth in (1, 2, 3):
-            assert rate(store_buffering,
-                        lambda s: TsoPCTScheduler(depth, 6, seed=s),
-                        150) == 0
+    """Which bugs need a delayed flush at all."""
 
     def test_p1_under_tso_needs_sc_scheduling(self):
-        """P1's bug is an interleaving bug: reachable on TSO by the
-        delayed-write scheduler only via schedule order (reads see
-        committed mo-max), and by PCT via its priorities."""
+        """P1's bug is an interleaving bug: reads see the committed
+        mo-max, so schedule order alone reaches it — PCT finds it through
+        its priorities without delaying any flush."""
         hits = rate(lambda: p1(3, order=RLX),
-                    lambda s: TsoPCTScheduler(1, 8, seed=s), 300)
+                    lambda s: PCTScheduler(1, 8, seed=s), 300)
         assert hits > 0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            TsoDelayedWriteScheduler(-1, 2)
-        with pytest.raises(ValueError):
-            TsoDelayedWriteScheduler(1, 0)
-        with pytest.raises(ValueError):
-            TsoPCTScheduler(-1, 5)

@@ -141,14 +141,16 @@ class TestSchedulerContracts:
             assert hits > 0, f"{name} never delayed a flush into SB's window"
 
     def test_forbidden_shapes_never_hit(self):
-        for name in ("MP", "LB", "IRIW", "CoRR", "2+2W"):
+        for name in ("MP", "LB", "IRIW", "CoRR", "2+2W", "MP2"):
             factory = ALL_LITMUS[name]
-            for seed in range(40):
-                result = TSO.run_once(factory(),
-                                      NaiveRandomScheduler(seed=seed),
-                                      max_steps=2000, keep_graph=False)
-                assert not result.bug_found, \
-                    f"{name} weak outcome is forbidden under TSO"
+            for sched in ("naive", "pctwm"):
+                make = SCHEDULER_MAKERS[sched]
+                for seed in range(40):
+                    result = TSO.run_once(factory(), make(seed),
+                                          max_steps=2000, keep_graph=False)
+                    assert not result.bug_found, \
+                        f"{name} weak outcome is forbidden under TSO " \
+                        f"({sched})"
 
     def test_runs_are_seed_deterministic(self):
         factory = ALL_LITMUS["SB"]

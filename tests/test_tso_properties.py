@@ -1,16 +1,14 @@
-"""Property-based tests for the TSO engine's invariants."""
+"""Property-based tests for the TSO backend's invariants."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import NaiveRandomScheduler, PCTScheduler, PCTWMScheduler
+from repro.memory import resolve_model
 from repro.memory.events import RLX, SC as SEQ
 from repro.runtime import Program, fence
-from repro.tso import (
-    TsoDelayedWriteScheduler,
-    TsoEagerScheduler,
-    TsoNaiveScheduler,
-    run_tso,
-)
+
+TSO = resolve_model("tso")
 
 LOCS = ("X", "Y")
 
@@ -49,16 +47,20 @@ def build(spec) -> Program:
 
 
 SCHEDULERS = (
-    lambda seed: TsoNaiveScheduler(seed=seed),
-    lambda seed: TsoEagerScheduler(seed=seed),
-    lambda seed: TsoDelayedWriteScheduler(2, 6, seed=seed),
+    lambda seed: NaiveRandomScheduler(seed=seed),
+    lambda seed: PCTScheduler(2, 16, seed=seed),
+    lambda seed: PCTWMScheduler(2, 6, 2, seed=seed),
 )
+
+
+def run(spec, which, seed):
+    return TSO.run_once(build(spec), SCHEDULERS[which](seed), max_steps=2000)
 
 
 @settings(max_examples=40, deadline=None)
 @given(program_spec, st.integers(0, 2), st.integers(0, 500))
 def test_all_stores_eventually_commit(spec, which, seed):
-    result = run_tso(build(spec), SCHEDULERS[which](seed), max_steps=2000)
+    result = run(spec, which, seed)
     assert not result.limit_exceeded
     for event in result.graph.events:
         if event.is_write and not event.is_init:
@@ -70,7 +72,7 @@ def test_all_stores_eventually_commit(spec, which, seed):
 def test_own_reads_never_go_backwards(spec, which, seed):
     """TSO store forwarding: a thread's same-location reads observe a
     non-decreasing sequence of its knowledge (committed or forwarded)."""
-    result = run_tso(build(spec), SCHEDULERS[which](seed), max_steps=2000)
+    result = run(spec, which, seed)
     last: dict = {}
     for event in result.graph.events:
         if event.reads_from is None:
@@ -87,7 +89,7 @@ def test_own_reads_never_go_backwards(spec, which, seed):
 def test_forwarded_reads_use_own_newest(spec, which, seed):
     """If a read's source is the reader's own write, it must be the
     po-latest same-location write issued before the read."""
-    result = run_tso(build(spec), SCHEDULERS[which](seed), max_steps=2000)
+    result = run(spec, which, seed)
     for event in result.graph.events:
         source = event.reads_from
         if source is None or source.is_init or source.tid != event.tid:
@@ -105,8 +107,7 @@ def test_forwarded_reads_use_own_newest(spec, which, seed):
 @settings(max_examples=30, deadline=None)
 @given(program_spec, st.integers(0, 2), st.integers(0, 500))
 def test_deterministic_replay(spec, which, seed):
-    make = SCHEDULERS[which]
-    a = run_tso(build(spec), make(seed), max_steps=2000)
-    b = run_tso(build(spec), make(seed), max_steps=2000)
+    a = run(spec, which, seed)
+    b = run(spec, which, seed)
     assert [(e.tid, e.label) for e in a.graph.events] \
         == [(e.tid, e.label) for e in b.graph.events]

@@ -152,3 +152,56 @@ class TestHistoryBounding:
         indices = [w.mo_index for w in writes]
         assert indices == list(range(indices[0], indices[-1] + 1))
         assert indices[-1] == len(g.writes_by_loc["X"]) - 1
+
+
+def _fr_rf_hb_program():
+    """``obs`` acquires ``mid``'s flag, and ``mid`` had read X = 2.
+
+    ``w``: X = 1; X = 2.  ``mid``: r = X; F = 1 (rel).  ``obs``: F (acq);
+    X.  When ``mid`` read X = 2 and ``obs`` saw its flag, ``obs`` may
+    not read X = 1: that read is fr-before X = 2, which is rf-before
+    ``mid``'s read, which happens-before ``obs``'s read — the cycle
+    fr; rf; hb that read coherence forbids.
+    """
+    from repro.memory.events import ACQ, REL
+    from repro.runtime import Program
+
+    p = Program("fr-rf-hb")
+    x = p.atomic("X", 0)
+    flag = p.atomic("F", 0)
+
+    def w():
+        yield x.store(1, RLX)
+        yield x.store(2, RLX)
+
+    def mid():
+        seen = yield x.load(RLX)
+        yield flag.store(1, REL)
+        return seen
+
+    def obs():
+        return ((yield flag.load(ACQ)), (yield x.load(RLX)))
+
+    p.add_thread(w)
+    p.add_thread(mid)
+    p.add_thread(obs)
+    return p
+
+
+class TestCoherenceThroughObservedReads:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "VisibilityTracker.floor ignores writes observed by reads that "
+        "happen-before the read, so fr;rf;hb can close a cycle "
+        "(C11TesterScheduler seed 373 produces it on both engines)"))
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_read_floor_covers_hb_preceding_reads(self, engine):
+        from repro.core import C11TesterScheduler
+        from repro.runtime import run_once
+
+        for seed in range(500):
+            result = run_once(_fr_rf_hb_program(),
+                              C11TesterScheduler(seed=seed),
+                              sanitize=True, engine=engine)
+            assert not result.inconsistent, (seed, result.violations)
+            seen = result.thread_results
+            assert not (seen["mid"] == 2 and seen["obs"] == (1, 1)), seed
