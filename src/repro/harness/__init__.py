@@ -36,6 +36,7 @@ from .parallel import (
     CampaignProgress,
     print_progress,
     run_campaign_parallel,
+    shutdown_pools,
 )
 from .watchdog import (
     HeartbeatBoard,
@@ -97,6 +98,7 @@ __all__ = [
     "print_progress",
     "run_campaign_parallel",
     "run_trial",
+    "shutdown_pools",
     "line_chart",
     "line_charts",
     "CoverageReport",

@@ -135,12 +135,18 @@ def measure_events_per_sec(program_spec: ProgramSpec,
 
 def measure_campaign_throughput(trials: int, jobs: int,
                                 base_seed: int = 0,
-                                repeats: int = 2) -> dict:
+                                repeats: int = 2,
+                                cpu_count: Optional[int] = None) -> dict:
     """Serial vs ``--jobs N`` campaign trials/second on silo under PCTWM.
 
     Same methodology as the engine cells: a warmup campaign first, then
-    the best of ``repeats`` timed campaigns per mode.
+    the best of ``repeats`` timed campaigns per mode.  The ``jobs=N``
+    cell and its ``speedup`` are measured only when
+    ``2 <= jobs <= cpu_count``: with one job there is nothing to scale,
+    and with more jobs than CPUs the workers time-slice, so the ratio
+    would be noise.  Otherwise ``scaling_skipped`` says why.
     """
+    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     program = WORKLOAD_SPECS["silo"]
     scheduler = SCHEDULER_SPECS["pctwm"]
     run_campaign(program, scheduler, trials=max(trials // 4, 1),
@@ -151,6 +157,16 @@ def measure_campaign_throughput(trials: int, jobs: int,
         run_campaign(program, scheduler, trials=trials,
                      base_seed=base_seed, max_steps=MAX_STEPS)
         serial_s = min(serial_s, time.perf_counter() - start)
+    cell = {
+        "trials": trials,
+        "serial_trials_per_sec": round(trials / serial_s, 2),
+        "jobs": jobs,
+    }
+    if not 2 <= jobs <= cpus:
+        cell["scaling_skipped"] = (
+            f"jobs={jobs} with cpu_count={cpus}: scaling is recorded "
+            f"only when 2 <= jobs <= cpu_count")
+        return cell
     parallel_s = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
@@ -158,13 +174,9 @@ def measure_campaign_throughput(trials: int, jobs: int,
                               base_seed=base_seed, max_steps=MAX_STEPS,
                               jobs=jobs)
         parallel_s = min(parallel_s, time.perf_counter() - start)
-    return {
-        "trials": trials,
-        "serial_trials_per_sec": round(trials / serial_s, 2),
-        f"jobs={jobs}_trials_per_sec": round(trials / parallel_s, 2),
-        "jobs": jobs,
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-    }
+    cell[f"jobs={jobs}_trials_per_sec"] = round(trials / parallel_s, 2)
+    cell["speedup"] = round(serial_s / parallel_s, 2)
+    return cell
 
 
 def run_bench(quick: bool = False, seed: int = 0,
@@ -296,11 +308,14 @@ def render_bench(doc: dict) -> str:
     campaign = doc.get("campaign_throughput")
     if campaign:
         jobs = campaign["jobs"]
+        scaling = (f"scaling skipped ({campaign['scaling_skipped']})"
+                   if "scaling_skipped" in campaign else
+                   f"{campaign[f'jobs={jobs}_trials_per_sec']} trials/s "
+                   f"with --jobs {jobs} ({campaign['speedup']}x)")
         lines.append(
             f"  campaign (silo/pctwm, {campaign['trials']} trials): "
             f"{campaign['serial_trials_per_sec']} trials/s serial, "
-            f"{campaign[f'jobs={jobs}_trials_per_sec']} trials/s "
-            f"with --jobs {jobs} ({campaign['speedup']}x)"
+            f"{scaling}"
         )
         fastpath = doc.get("campaign_fastpath")
         if fastpath:

@@ -13,11 +13,18 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   ``derive_trial_seed(base_seed, i)``, so the aggregate counts are
   bit-identical to the serial path regardless of worker count, chunking,
   or how often a shard had to be retried.
-* **Workers are warm.**  The pool initializer materializes one
-  :class:`~repro.harness.campaign.TrialRunner` per worker process —
-  program, scheduler, and pooled execution state built once — and each
-  IPC round then ships only a tuple of trial indices, not a pickled
-  factory bundle.
+* **Workers are warm, and outlive one campaign.**  Worker pools are
+  leased from a process-wide registry keyed by ``(start method,
+  workers, $REPRO_FAULT_INJECT)``; a pool whose round ends cleanly goes
+  back for the next campaign, so a daemon serving many jobs pays worker
+  start-up (importing ``repro`` in a fresh forkserver or spawn child)
+  once per pool, not once per job.  Every shard ships the campaign's
+  :class:`ShardSpec` with its trial indices, and a worker rebuilds its
+  :class:`~repro.harness.campaign.TrialRunner` — program, scheduler,
+  pooled execution state — only when that config differs from the one
+  it has cached.  A pool that broke, was interrupted, or lost a worker
+  to the watchdog is shut down, never reused; :func:`shutdown_pools`
+  stops the idle ones (at interpreter exit, and when a daemon stops).
 * **Merging is deterministic and streaming.**  Shard records fold into
   a :class:`~repro.harness.campaign.CampaignAccumulator` as each shard
   finishes; the fold is order-independent, so ``hits``,
@@ -42,8 +49,8 @@ and *supervises* the shards so one fault cannot destroy a campaign:
 * **Wedged workers are preempted.**  ``trial_timeout_s`` is enforced
   cooperatively inside the step loop, so it cannot fire while a worker
   is stuck *outside* it (a factory wedged in native code, an OS stall).
-  With ``hang_timeout_s`` set, warm workers stamp a shared heartbeat
-  slot per trial boundary and a supervisor-side watchdog thread
+  Warm workers stamp a shared heartbeat slot per trial boundary; with
+  ``hang_timeout_s`` set, a supervisor-side watchdog thread
   (:mod:`repro.harness.watchdog`) hard-kills any worker whose busy
   heartbeat goes stale, feeding the lost shard back into the same
   bounded-retry path — the wall-clock budget becomes preemptive.
@@ -60,13 +67,17 @@ and *supervises* the shards so one fault cannot destroy a campaign:
 
 from __future__ import annotations
 
+import atexit
 import gc
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.forkserver
 import os
 import signal
 import sys
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -96,6 +107,7 @@ __all__ = [
     "WatchdogStats",
     "print_progress",
     "run_campaign_parallel",
+    "shutdown_pools",
 ]
 
 #: Environment override for the multiprocessing start method used by
@@ -107,6 +119,10 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 #: cannot compound into multi-minute stalls between pool rebuilds.
 RETRY_BACKOFF_CAP_S = 5.0
 
+#: Idle worker pools kept for reuse, across all keys; the least recently
+#: returned pool is shut down beyond this.
+IDLE_POOL_LIMIT = 2
+
 
 @dataclass
 class ShardSpec:
@@ -115,8 +131,9 @@ class ShardSpec:
     Shards themselves are plain tuples of trial indices: usually
     contiguous, but resuming from a checkpoint shards only the
     *remaining* trials, which may have holes.  This config crosses the
-    process boundary once per worker, so the factories must be picklable
-    (registry specs or module-level callables).
+    process boundary with every shard, so the factories must be
+    picklable (registry specs or module-level callables); workers compare
+    it by value to decide whether their cached runner still applies.
     """
 
     program_factory: ProgramFactory
@@ -196,65 +213,94 @@ def print_progress(progress: CampaignProgress) -> None:
     print(f"  [campaign] {progress.render()}", file=sys.stderr, flush=True)
 
 
-#: Per-worker-process warm state, materialized once by :func:`_init_worker`.
+#: Per-worker-process warm state: the config of the last shard run here
+#: and the runner built from it (see :func:`_run_shard_warm`).
+_WORKER_CONFIG: Optional[ShardSpec] = None
 _WORKER_RUNNER: Optional[TrialRunner] = None
 _WORKER_TRIALS_SINCE_GC = 0
-#: The worker's claimed heartbeat slot (None when the campaign runs
-#: without a hang watchdog or memory ceiling).
+#: The worker's claimed heartbeat slot on its pool's board.
 _WORKER_HEARTBEAT = None
 
 
-def _init_worker(config: ShardSpec, board: Optional[HeartbeatBoard] = None,
-                 ) -> None:
-    """Pool initializer: materialize the worker's warm trial runner.
+def _init_worker(board: HeartbeatBoard) -> None:
+    """Pool initializer: claim a heartbeat slot and load the fault rig.
 
-    Runs once per worker process, so the factories are unpickled and the
-    program/scheduler/execution-state pool built a single time; every
-    subsequent IPC round only ships trial indices.  The cyclic collector
-    is paused for the worker's lifetime (trial loops collect manually,
-    see :func:`_run_shard_warm`).
-
-    With a heartbeat ``board`` the worker claims its slot first and runs
-    initialization *busy*, so a factory that wedges while building the
-    warm runner is still preemptible; the slot goes idle on success.
+    Runs once per worker process, for the lifetime of its pool (which
+    may serve many campaigns).  The cyclic collector is paused for that
+    lifetime; trial loops collect manually (see :func:`_run_shard_warm`).
     """
-    global _WORKER_RUNNER, _WORKER_TRIALS_SINCE_GC, _WORKER_HEARTBEAT
+    global _WORKER_HEARTBEAT
     # Fork-started workers inherit the supervisor's SIGTERM handler
     # (which raises KeyboardInterrupt); a pool worker must simply die
     # when the executor terminates it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    heartbeat = board.claim() if board is not None else None
-    if heartbeat is not None:
-        heartbeat.beat()
-    _WORKER_HEARTBEAT = heartbeat
+    _live_as_long_as_parent()
+    _WORKER_HEARTBEAT = board.claim()
     faultrig.load_directives()
-    _WORKER_RUNNER = config.make_runner()
-    _WORKER_TRIALS_SINCE_GC = 0
     gc.disable()
-    if heartbeat is not None:
-        heartbeat.idle()
 
 
-def _run_shard_warm(indices: Tuple[int, ...]) -> ShardResult:
-    """Warm shard entry point: run trial ``indices`` on the pool runner.
+def _live_as_long_as_parent() -> None:
+    """Tie this worker's lifetime to the campaign process that owns it.
 
-    Each trial stamps the worker's heartbeat slot (one shared float
-    store — noise next to even the cheapest trial), and the slot is
-    marked idle on exit so a worker parked between shards is never
-    mistaken for a wedged one.
+    A parked pool may sit idle for a long time, which is only safe if:
+
+    * the worker does not keep a forkserver alive.  A forkserver runs
+      until every holder of its "alive" pipe has exited, and forkserver
+      children (and fork children of a process that started one) hold
+      it; a parked worker would block whoever stops the forkserver.
+      Workers start no processes, so they close their copy.
+    * the worker exits once its parent is gone.  A killed parent — or
+      one whose forkserver stopped first, which leaves its pools unable
+      to see their workers — never sends the shutdown sentinel, so a
+      daemon thread waits on the parent's sentinel instead.
     """
-    global _WORKER_TRIALS_SINCE_GC
+    server = multiprocessing.forkserver._forkserver
+    alive_fd = getattr(server, "_forkserver_alive_fd", None)
+    if alive_fd is not None:
+        server._forkserver_alive_fd = None
+        try:
+            os.close(alive_fd)
+        except OSError:
+            pass
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with, args=(parent.sentinel,),
+                         name="campaign-parent-watch", daemon=True).start()
+
+
+def _exit_with(sentinel) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(0)
+
+
+def _run_shard_warm(config: ShardSpec,
+                    indices: Tuple[int, ...]) -> ShardResult:
+    """Warm shard entry point: run trial ``indices`` under ``config``.
+
+    The worker's runner — program, scheduler and execution-state pool —
+    is rebuilt only when ``config`` differs from the one it was built
+    for, so every shard of a campaign (and of later campaigns with the
+    same config) reuses it.  Building happens with the heartbeat busy, so
+    a factory that wedges is still preemptible.  Each trial stamps the
+    slot (one shared float store — noise next to even the cheapest
+    trial), and the slot is marked idle on exit so a worker parked
+    between shards is never mistaken for a wedged one.
+    """
+    global _WORKER_CONFIG, _WORKER_RUNNER, _WORKER_TRIALS_SINCE_GC
     heartbeat = _WORKER_HEARTBEAT
     t0 = time.perf_counter()
-    if heartbeat is not None:
-        heartbeat.beat()
-    faultrig.maybe_inject(heartbeat)
-    records = []
-    for index in indices:
-        if heartbeat is not None:
+    heartbeat.beat()
+    try:
+        faultrig.maybe_inject(heartbeat)
+        if config != _WORKER_CONFIG:
+            _WORKER_RUNNER = config.make_runner()
+            _WORKER_CONFIG = config
+        records = []
+        for index in indices:
             heartbeat.beat()
-        records.append(_WORKER_RUNNER.run(index))
-    if heartbeat is not None:
+            records.append(_WORKER_RUNNER.run(index))
+    finally:
         heartbeat.idle()
     _WORKER_TRIALS_SINCE_GC += len(indices)
     if _WORKER_TRIALS_SINCE_GC >= GC_COLLECT_STRIDE:
@@ -303,6 +349,107 @@ def _pool_context(start_method: Optional[str] = None):
         return multiprocessing.get_context(start_method)
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
+
+
+class _Pool:
+    """A process pool plus the heartbeat board its workers stamp.
+
+    The board lives exactly as long as the pool: pools rebuilt after a
+    crash get a fresh board, so a lingering worker of a torn-down pool
+    can never stamp (and thereby mask) its replacement's slot.
+    """
+
+    def __init__(self, key: tuple, ctx, workers: int):
+        self.key = key
+        self.board = HeartbeatBoard(ctx, slots=workers)
+        self.executor = ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx,
+            initializer=_init_worker, initargs=(self.board,))
+
+    def pids(self) -> List[int]:
+        """Pids of the pool's worker processes."""
+        return list((self.executor._processes or {}).keys())
+
+    def healthy(self) -> bool:
+        """Whether the pool can take work: not broken, no dead worker."""
+        executor = self.executor
+        return not executor._broken and all(
+            process.is_alive()
+            for process in (executor._processes or {}).values())
+
+    def close(self, wait: bool = True) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=True)
+
+
+class _PoolRegistry:
+    """Idle campaign pools, kept warm for the next campaign.
+
+    At most one idle pool per key and :data:`IDLE_POOL_LIMIT` overall.
+    The key holds everything a worker fixes at start-up: the start
+    method, the worker count, and ``$REPRO_FAULT_INJECT`` (read by
+    :func:`_init_worker`), so changing the fault rig between campaigns
+    takes effect (as far as the start method passes the environment on:
+    forkserver children inherit the forkserver's).  Building a new
+    ``fork`` pool first stops the parked ones.  Thread-safe: a daemon
+    runs campaigns concurrently.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: "OrderedDict[tuple, _Pool]" = OrderedDict()
+
+    def lease(self, ctx, workers: int) -> _Pool:
+        """An idle healthy pool for this key, or a new one on a miss."""
+        key = (ctx.get_start_method(), workers,
+               os.environ.get(faultrig.FAULT_ENV, ""))
+        with self._lock:
+            pool = self._idle.pop(key, None)
+        if pool is not None:
+            if pool.healthy():
+                return pool
+            pool.close(wait=False)  # a worker died while it sat idle
+        if key[0] == "fork":
+            # Parked pools keep threads running; forking next to them
+            # risks deadlocked children (warned about since Python 3.12).
+            self.shutdown()
+        return _Pool(key, ctx, workers)
+
+    def release(self, pool: _Pool) -> None:
+        """Return a pool after a clean round; surplus pools shut down."""
+        surplus = []
+        with self._lock:
+            if pool.key in self._idle:
+                surplus.append(pool)
+            else:
+                self._idle[pool.key] = pool
+                while len(self._idle) > IDLE_POOL_LIMIT:
+                    surplus.append(self._idle.popitem(last=False)[1])
+        for spare in surplus:
+            spare.close()
+
+    def shutdown(self) -> None:
+        with self._lock:
+            pools = list(self._idle.values())
+            self._idle.clear()
+        for pool in pools:
+            pool.close()
+
+
+_POOLS = _PoolRegistry()
+
+
+def shutdown_pools() -> None:
+    """Stop every idle campaign worker pool and wait for its workers.
+
+    Pools in use by a running campaign are not touched; they go back to
+    the registry when their round ends.  Runs at interpreter exit; a
+    long-lived host (the campaign daemon) also calls it when it stops, so
+    no pool worker outlives it.
+    """
+    _POOLS.shutdown()
+
+
+atexit.register(shutdown_pools)
 
 
 def _warn(message: str) -> None:
@@ -375,9 +522,11 @@ class _ShardSupervisor:
         self.watchdog_stats = watchdog_stats \
             if watchdog_stats is not None else WatchdogStats()
         self.watchdog_poll_s = watchdog_poll_s
-        #: Observer of live pool-worker deltas: called with ``+n`` when a
-        #: pool of ``n`` workers starts and ``-n`` when it is torn down,
-        #: so a daemon can meter campaigns against a global worker budget.
+        #: Observer of leased pool-worker deltas: called with ``+n`` when
+        #: a round leases a pool of ``n`` workers and ``-n`` when the
+        #: round returns or tears it down, so a daemon can meter
+        #: campaigns against a global worker budget (idle pools parked in
+        #: the registry are not counted).
         self.on_pool_change = on_pool_change
         #: Set to end a backoff wait early (graceful drain); interrupt
         #: signals need no help — the deadline wait sleeps in short
@@ -387,8 +536,8 @@ class _ShardSupervisor:
         #: shard completes and never retained — the parent's memory is
         #: bounded by the accumulator, not by the campaign size.
         self.accumulator = accumulator
-        #: Trial config the pool initializer materializes once per worker
-        #: process, and the in-process fallback once per campaign.
+        #: Trial config shipped with every shard; pool workers and the
+        #: in-process fallback each build one runner from it.
         self.worker_config = worker_config
         #: ``(first trial index, wall seconds)`` per completed shard.
         self.shard_walls: List[Tuple[int, float]] = []
@@ -469,35 +618,37 @@ class _ShardSupervisor:
 
     def _run_pool_round(self, runnable: Dict[int, Tuple[int, ...]],
                         ) -> List[int]:
-        """One pool lifetime; returns the shard keys that were lost."""
+        """One round on a leased pool; returns the shard keys lost.
+
+        The pool goes back to the registry only after a clean round in
+        which the watchdog killed no worker; otherwise it is shut down.
+        """
         workers = min(self.jobs, len(runnable))
-        # One board per pool lifetime: a lingering worker of a torn-down
-        # pool must never stamp (and thereby mask) its replacement's slot.
-        board = (HeartbeatBoard(self.ctx, slots=workers)
-                 if self._supervised() else None)
-        executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=self.ctx,
-            initializer=_init_worker, initargs=(self.worker_config, board))
+        pool = _POOLS.lease(self.ctx, workers)
         if self.on_pool_change is not None:
             self.on_pool_change(workers)
+        stats = self.watchdog_stats
+        kills_before = stats.preemptions
         watchdog: Optional[Watchdog] = None
-        if board is not None:
+        if self._supervised():
             watchdog = Watchdog(
-                board,
+                pool.board,
                 # Only pids the *current* pool owns are killable; a stale
                 # board entry whose OS pid was recycled is never signalled.
-                live_pids=lambda: list((executor._processes or {}).keys()),
+                live_pids=pool.pids,
                 hang_timeout_s=self.hang_timeout_s,
                 memory_limit_mb=self.memory_limit_mb,
-                stats=self.watchdog_stats,
+                stats=stats,
                 poll_s=self.watchdog_poll_s,
                 warn=_warn,
             )
             watchdog.start()
         clean = False
         try:
-            futures = {executor.submit(_run_shard_warm, shard): key
-                       for key, shard in runnable.items()}
+            futures = {
+                pool.executor.submit(_run_shard_warm, self.worker_config,
+                                     shard): key
+                for key, shard in runnable.items()}
             lost: List[int] = []
             for future in as_completed(futures):
                 key = futures[future]
@@ -525,8 +676,12 @@ class _ShardSupervisor:
         finally:
             if watchdog is not None:
                 watchdog.stop()
-            # A broken or interrupted pool cannot be drained; don't wait.
-            executor.shutdown(wait=clean, cancel_futures=True)
+            if clean and stats.preemptions == kills_before:
+                _POOLS.release(pool)
+            else:
+                # A broken or interrupted pool cannot be drained; don't
+                # wait.
+                pool.close(wait=clean)
             if self.on_pool_change is not None:
                 self.on_pool_change(-workers)
 
@@ -607,10 +762,10 @@ def run_campaign_parallel(
       kills live (e.g. a daemon's liveness endpoint); the campaign also
       reports its own kill deltas on ``result.hang_preemptions`` /
       ``result.rss_recycles``.
-    * ``on_pool_change`` — observer of live pool-worker deltas: called
-      ``+n`` when a pool of ``n`` workers comes up and ``-n`` when it is
-      torn down, letting a daemon meter concurrent campaigns against a
-      global worker budget.
+    * ``on_pool_change`` — observer of leased pool-worker deltas: called
+      ``+n`` when a round leases a pool of ``n`` workers and ``-n`` when
+      it hands the pool back (or tears it down), letting a daemon meter
+      concurrent campaigns against a global worker budget.
     * ``start_method`` — multiprocessing start method ("fork", "spawn",
       "forkserver"); defaults to ``$REPRO_START_METHOD`` or fork.
     * ``sanitize`` — audit trial graphs against the consistency axioms

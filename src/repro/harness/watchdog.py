@@ -12,8 +12,9 @@ This module closes that gap with a heartbeat protocol:
 * **Workers stamp a shared heartbeat slot per trial boundary.**  The
   :class:`HeartbeatBoard` is a pair of ``multiprocessing`` shared arrays
   (monotonic stamps + the stamping worker's pid), one slot per pool
-  worker.  Slots claim themselves in the pool initializer, stamp on every
-  trial start, and zero themselves when the worker goes idle — so an
+  worker, built with the pool and living as long as it does.  Slots
+  claim themselves in the pool initializer, stamp on every trial start,
+  and zero themselves when the worker goes idle — so an
   *idle* worker (waiting for its next shard) is never mistaken for a
   wedged one.
 * **The supervisor runs a watchdog thread.**  :class:`Watchdog` samples
@@ -122,12 +123,15 @@ class WorkerHeartbeat:
 class HeartbeatBoard:
     """Shared heartbeat slots for one worker pool lifetime.
 
-    Built in the supervisor from the pool's multiprocessing context and
+    Built with its pool from the pool's multiprocessing context and
     shipped to workers through the pool initializer (shared ``ctypes``
     arrays pickle via fd passing under every start method).  One board
-    serves exactly one pool: pools rebuilt after a crash get a fresh
-    board, so a lingering worker of the torn-down pool can never stamp —
-    and thereby mask — a slot belonging to its replacement.
+    serves exactly one pool, for as long as that pool lives — which may
+    span many campaigns, since clean pools are reused (see
+    :mod:`repro.harness.parallel`); each campaign's watchdog reads the
+    board of the pool it leased.  Pools rebuilt after a crash get a
+    fresh board, so a lingering worker of the torn-down pool can never
+    stamp — and thereby mask — a slot belonging to its replacement.
     """
 
     def __init__(self, ctx, slots: int):

@@ -24,6 +24,10 @@ Robustness contract:
 * **Campaign pools never fork a threaded daemon.**  The daemon holds
   HTTP threads, so campaigns default to the ``forkserver`` start method
   (``spawn`` where unavailable) instead of inheriting the fork default.
+  Pools are kept warm from one job to the next (see
+  :mod:`repro.harness.parallel`), so only the first job of a given
+  worker grant pays worker start-up; drain and stop shut the idle pools
+  down before the daemon exits.
 * **Every job checkpoints.**  Trials stream into
   ``<state_dir>/journals/<job>.jsonl`` as shards complete; cancel,
   preemption, daemon shutdown, and daemon death all leave a resumable
@@ -54,6 +58,7 @@ from typing import Dict, List, Optional
 
 from ..harness import faultrig
 from ..harness.fsutil import durable_replace
+from ..harness.parallel import shutdown_pools
 from ..harness.watchdog import WatchdogStats
 from .api import make_server
 from .jobs import JobSpec, result_summary, run_job
@@ -461,6 +466,8 @@ class CampaignDaemon:
             for run in runs:
                 if run.thread is not None:
                     run.thread.join()
+            # Campaign pools outlive their jobs; none may outlive us.
+            shutdown_pools()
             server.shutdown()
             server.server_close()
             self._remove_endpoint_file()

@@ -8,6 +8,7 @@ from repro.harness.bench import (
     PRE_FASTPATH_BASELINE,
     check_against_baseline,
     environment_fingerprint,
+    measure_campaign_throughput,
     measure_events_per_sec,
     render_bench,
     SCHEDULER_SPECS,
@@ -119,3 +120,32 @@ def test_committed_trajectory_shows_campaign_fastpath_win():
     after = fastpath["after"]["serial_trials_per_sec"]
     assert after > before
     assert fastpath["speedup"] >= 1.1
+
+
+def test_scaling_recorded_only_with_real_parallelism():
+    """No speedup from ``jobs=1`` or from more jobs than CPUs: both
+    would be noise.  The skip says why instead."""
+    for jobs, cpus in ((1, 4), (2, 1)):
+        cell = measure_campaign_throughput(trials=4, jobs=jobs, repeats=1,
+                                           cpu_count=cpus)
+        assert cell["serial_trials_per_sec"] > 0
+        assert "speedup" not in cell
+        assert f"jobs={jobs}_trials_per_sec" not in cell
+        assert f"cpu_count={cpus}" in cell["scaling_skipped"]
+        assert "scaling skipped" in render_bench(
+            dict(make_doc(60000.0), campaign_throughput=cell))
+    cell = measure_campaign_throughput(trials=4, jobs=2, repeats=1,
+                                       cpu_count=2)
+    assert "scaling_skipped" not in cell
+    assert cell["jobs=2_trials_per_sec"] > 0 and cell["speedup"] > 0
+
+
+def test_committed_scaling_record_is_meaningful():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+    doc = json.loads(path.read_text())
+    cell = doc["campaign_throughput"]
+    cpus = doc["meta"]["environment"]["cpu_count"]
+    assert ("speedup" in cell) == (2 <= cell["jobs"] <= cpus)
+    assert ("speedup" in cell) != ("scaling_skipped" in cell)

@@ -7,6 +7,7 @@ death, drain, or cancel always leaves a resumable state directory.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -466,3 +467,25 @@ class TestServeForever:
         assert not thread.is_alive()
         # The queued job survived the drain, ready for the next daemon.
         assert JobQueue(state).get("job-000001").status == "queued"
+
+    def test_drain_leaves_no_pool_workers(self, tmp_path):
+        """Pools outlive each job but not the daemon: after ``jobs=2``
+        jobs the idle pool's workers are alive, and draining stops them
+        (``shutdown_pools``) before serve returns."""
+        daemon = CampaignDaemon(str(tmp_path / "state"), port=0, quiet=True)
+        ids = [daemon.submit(spec_dict(jobs=2, seed=seed))["id"]
+               for seed in (3, 4)]
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 120
+        while any(daemon.queue.get(job_id).status != "done"
+                  for job_id in ids):
+            assert time.monotonic() < deadline, "jobs never finished"
+            time.sleep(0.05)
+        workers = {child.pid for child in multiprocessing.active_children()}
+        assert workers, "no warm pool survived the jobs"
+        daemon.drain()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not workers & alive
