@@ -13,9 +13,9 @@ pipeline behind ``repro fuzz``:
    (:mod:`repro.harness.coverage`); ties prefer the smaller
    configuration, honouring the Section 5.4 sample-space bound;
 3. **campaign** — run the winning configuration through
-   :func:`repro.harness.parallel.run_campaign_parallel` with
-   record-on-failure artifacts (warm-worker reuse applies: fuzz specs
-   are registry specs);
+   :func:`repro.harness.parallel.run_campaign_parallel` with bug
+   artifacts (warm-worker reuse applies: fuzz specs are registry
+   specs);
 4. **shrink → corpus** — dedupe findings by (outcome, bug kind), ddmin
    the decision trace and the plan itself
    (:mod:`repro.fuzz.shrink`), and pin each survivor as a corpus entry.
@@ -495,8 +495,7 @@ def run_fuzz(base_seed: int = 0, count: int = 20, model: str = "c11",
                 spec, sched_spec, trials=trials, base_seed=gen_seed,
                 max_steps=bound, jobs=jobs, scheduler_name=scheduler,
                 sanitize=sanitize, artifact_dir=tmp,
-                spin_threshold=spin_threshold, record_mode="on_failure",
-                model=backend.name)
+                spin_threshold=spin_threshold, model=backend.name)
             artifacts = [load_artifact(path)
                          for path in sorted(result.artifacts)]
 

@@ -16,17 +16,18 @@ to re-execute that exact trial anywhere:
 
 Artifacts are JSON files written by the worker that observed the failure
 (inside :class:`repro.harness.campaign.TrialRunner`), so they survive the
-``ProcessPoolExecutor`` boundary, SIGKILL, and checkpoint/resume.  Under
-the default ``record_mode="on_failure"`` the decision trace comes from a
-deterministic re-execution of the failing trial (byte-identical to what
-always-on recording captures, without taxing clean trials); all other
-fields describe the original run.  The ``repro replay <artifact>`` CLI
-re-executes one deterministically and verifies the outcome matches the
-recording.
+``ProcessPoolExecutor`` boundary, SIGKILL, and checkpoint/resume.  The
+decision trace is the executor's log of the failing run itself, and
+every other field describes that same run.  Each file is written to a
+temporary name and renamed into place, so a worker killed mid-write
+never leaves a truncated artifact behind.  The ``repro replay
+<artifact>`` CLI re-executes one deterministically and verifies the
+outcome matches the recording.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from ..replay.trace import Trace
-from ..runtime.executor import RunResult, run_once
+from ..runtime.executor import RunResult
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -204,8 +205,17 @@ class BugArtifact:
         )
 
     def save(self, path: str) -> str:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        """Write atomically: readers see the whole file or none of it."""
+        text = self.to_json()
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path
 
 

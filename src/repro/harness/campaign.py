@@ -16,12 +16,13 @@ Fast path
     :class:`TrialRunner` exploits that — one warm scheduler instance
     reseeded per trial (registry specs only), one program object
     re-instantiated per run, one pooled :class:`ExecutionState` reset in
-    place between trials — and records decision traces *on failure only*
-    by deterministically re-executing the failing trial
-    (``record_mode="on_failure"``).  Aggregation streams through
-    :class:`CampaignAccumulator`, whose fold is order-independent and
-    memory-bounded.  All of it is seed-for-seed identical to the
-    one-object-web-per-trial slow path; the equivalence suite pins this.
+    place between trials.  With an artifact directory the executor logs
+    every trial's decisions as it runs, so a failing trial's artifact
+    takes its trace from the first and only execution.  Aggregation
+    streams through :class:`CampaignAccumulator`, whose fold is
+    order-independent and memory-bounded.  All of it is seed-for-seed
+    identical to the one-object-web-per-trial slow path; the equivalence
+    suite pins this.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from ..core.naive import NaiveRandomScheduler
 from ..core.pct import PCTScheduler
 from ..core.pctwm import PCTWMScheduler
 from ..memory.model import resolve_model
-from ..runtime.executor import (ExecutionState, Executor, RunResult,
-                                run_once)
+from ..replay.trace import Trace
+from ..runtime.executor import ExecutionState, Executor, RunResult
 from ..runtime.program import Program
 from ..runtime.scheduler import Scheduler
 from .seeding import derive_trial_seed, sample_rank
@@ -65,12 +66,6 @@ SANITIZE_SAMPLE_STRIDE = 10
 
 #: Valid values for the campaign ``sanitize`` knob.
 SANITIZE_MODES = ("off", "sampled", "all")
-
-#: Valid values for the campaign ``record_mode`` knob (meaningful only
-#: with an artifact directory).  ``"on_failure"`` runs trials without the
-#: recording wrapper and deterministically re-executes failing trials to
-#: capture their traces; ``"always"`` records every trial as it runs.
-RECORD_MODES = ("on_failure", "always")
 
 #: With the cyclic collector disabled during a campaign loop, collect
 #: manually every this many trials to bound floating garbage.
@@ -389,11 +384,10 @@ class TrialRunner:
     * **Execution state**: the graph and trackers are pooled and reset
       in place between runs instead of reallocated (safe because
       campaigns never keep run graphs).
-    * **Recording**: with ``record_mode="on_failure"`` (default) trials
-      run without the recording wrapper; a failing trial is re-executed
-      deterministically with recording enabled, so the artifact is
-      identical to what ``"always"`` would have captured — without
-      taxing the overwhelmingly common clean trial.
+    * **Recording**: with an ``artifact_dir`` the executor's decision
+      log is on, and a failing trial's artifact takes its trace from
+      that log; without one nothing is logged.  The log consumes no
+      randomness, so outcomes do not depend on it.
 
     Every reuse lever is seed-for-seed neutral: a runner's records match
     :func:`run_trial` outcomes field for field (timings aside).
@@ -408,15 +402,10 @@ class TrialRunner:
                  sanitize: str = "off",
                  artifact_dir: Optional[str] = None,
                  spin_threshold: int = 8,
-                 record_mode: str = "on_failure",
                  model: str = "c11"):
         if sanitize not in SANITIZE_MODES:
             raise ValueError(
                 f"sanitize must be one of {SANITIZE_MODES}, got {sanitize!r}")
-        if record_mode not in RECORD_MODES:
-            raise ValueError(
-                f"record_mode must be one of {RECORD_MODES}, "
-                f"got {record_mode!r}")
         self.model = model
         self._model = resolve_model(model)
         self.program_factory = program_factory
@@ -428,7 +417,6 @@ class TrialRunner:
         self.sanitize = sanitize
         self.artifact_dir = artifact_dir
         self.spin_threshold = spin_threshold
-        self.record_mode = record_mode
         self._reuse_scheduler = bool(
             getattr(scheduler_factory, "supports_reuse", False))
         self._reuse_program = bool(
@@ -457,7 +445,7 @@ class TrialRunner:
         return self._program
 
     def _execute(self, program: Program, scheduler: Scheduler,
-                 sanitize_run: bool) -> RunResult:
+                 sanitize_run: bool, trace: Optional[Trace]) -> RunResult:
         executor = self._executor
         if executor is None or executor.program is not program:
             executor = self._executor = self._model.make_executor(
@@ -468,12 +456,17 @@ class TrialRunner:
         else:
             executor.scheduler = scheduler
             executor.sanitize = sanitize_run
+        executor.decisions = None if trace is None else trace.decisions
         state = self._state
         if state is None or state.program is not program:
             state = self._state = self._model.make_state(
                 program, self.spin_threshold, fast=True)
         else:
             state.reset(program)
+        if trace is not None:
+            # Named only once the run starts: a program whose threads
+            # crash while being primed leaves an anonymous, empty trace.
+            trace.program = program.name
         return executor.run(state)
 
     # -- one trial -----------------------------------------------------------
@@ -487,20 +480,17 @@ class TrialRunner:
         """
         trial_seed = derive_trial_seed(self.base_seed, index)
         sanitize_run = sanitize_this_trial(self.sanitize, index)
-        recorder = None
+        trace: Optional[Trace] = None
         run: Optional[RunResult] = None
         error: Optional[str] = None
         operations = 0
         t0 = time.perf_counter()
         try:
             scheduler = self._checkout_scheduler(trial_seed)
-            if self.artifact_dir is not None \
-                    and self.record_mode == "always":
-                from ..replay.recording import RecordingScheduler
-
-                scheduler = recorder = RecordingScheduler(scheduler)
+            if self.artifact_dir is not None:
+                trace = Trace(scheduler=scheduler.name)
             run = self._execute(self._checkout_program(), scheduler,
-                                sanitize_run)
+                                sanitize_run, trace)
             operations = self.count_operations(run) \
                 if self.count_operations else 0
         except Exception as exc:
@@ -532,32 +522,29 @@ class TrialRunner:
             )
         if self.artifact_dir is not None:
             record.artifact = self._emit_artifact(
-                index, trial_seed, sanitize_run, recorder, run, error)
+                index, trial_seed, trace, run, error)
         return record
 
-    # -- record-on-failure ---------------------------------------------------
+    # -- artifacts -----------------------------------------------------------
 
     def _emit_artifact(self, index: int, trial_seed: int,
-                       sanitize_run: bool, recorder,
-                       run: Optional[RunResult],
+                       trace: Optional[Trace], run: Optional[RunResult],
                        error: Optional[str]) -> Optional[str]:
         """Write the trial's replayable artifact, if its outcome merits one.
 
         Best-effort and outside the timed region: a full disk or an
-        unwritable directory must not fail the trial.
+        unwritable directory must not fail the trial.  A trial whose
+        scheduler could not even be built has no trace and no artifact.
         """
         from .artifact import classify_outcome
 
-        if classify_outcome(run, error) is None:
+        if trace is None or classify_outcome(run, error) is None:
             return None
+        trace = self._record_failure(trace, trial_seed)
         try:
-            if recorder is None:
-                recorder = self._record_failure(trial_seed, sanitize_run, run)
-                if recorder is None:
-                    return None
             return _write_artifact(
                 self.artifact_dir, self.program_factory,
-                self.scheduler_factory, recorder, run, error,
+                self.scheduler_factory, trace, run, error,
                 base_seed=self.base_seed, index=index,
                 trial_seed=trial_seed, max_steps=self.max_steps,
                 spin_threshold=self.spin_threshold, model=self.model,
@@ -567,43 +554,16 @@ class TrialRunner:
                   f"{summarize_exception(exc)}", file=sys.stderr)
             return None
 
-    def _record_failure(self, trial_seed: int, sanitize_run: bool,
-                        first_run: Optional[RunResult]):
-        """Deterministically re-execute a failing trial with recording on.
+    def _record_failure(self, trace: Trace, trial_seed: int) -> Trace:
+        """The failing trial's replayable trace, built from its log.
 
-        Fresh scheduler and program instances (never the warm ones)
-        replay the identical decision sequence — schedulers are
-        seed-deterministic and recording consumes no randomness — so the
-        captured trace is byte-identical to what ``record_mode="always"``
-        would have produced on the first execution.  All artifact
-        *metadata* still comes from the first run; only the decision
-        trace comes from this re-run.
-
-        A timed-out first run re-executes with its observed step count as
-        the step budget and no wall clock, reproducing the same decision
-        prefix without racing the clock again.  A first run that raised
-        raises again at the same decision; the trace up to the raise is
-        kept.  Returns ``None`` when the scheduler factory itself fails
-        (then no trace can exist, matching always-record behaviour).
+        The executor logged the decisions while the trial ran, up to
+        where it stopped: a timeout at its last step, an error at the
+        decision that raised.  Only the replay settings remain to stamp.
         """
-        from ..replay.recording import RecordingScheduler
-
-        try:
-            recorder = RecordingScheduler(self.scheduler_factory(trial_seed))
-        except Exception:
-            return None
-        max_steps = self.max_steps
-        if first_run is not None and first_run.timed_out:
-            max_steps = first_run.steps
-        try:
-            self._model.run_once(
-                self.program_factory(), recorder, max_steps=max_steps,
-                keep_graph=False, wall_timeout_s=None,
-                spin_threshold=self.spin_threshold,
-                sanitize=sanitize_run)
-        except Exception:
-            pass  # the first run's error reproduces at the same point
-        return recorder
+        trace.seed = trial_seed
+        trace.spin_threshold = self.spin_threshold
+        return trace
 
 
 def run_trial(program_factory: ProgramFactory,
@@ -614,7 +574,6 @@ def run_trial(program_factory: ProgramFactory,
               sanitize: str = "off",
               artifact_dir: Optional[str] = None,
               spin_threshold: int = 8,
-              record_mode: str = "on_failure",
               model: str = "c11",
               ) -> TrialRecord:
     """Run a single campaign trial with a throwaway :class:`TrialRunner`.
@@ -632,21 +591,21 @@ def run_trial(program_factory: ProgramFactory,
     mark the record ``inconsistent`` without aborting anything.  With
     ``artifact_dir`` set, any bug/error/timeout/inconsistent outcome is
     serialized as a replayable JSON artifact in that directory (written
-    here, in the worker, so it survives the process boundary); see
-    :data:`RECORD_MODES` for when the decision trace is captured.
+    here, in the worker, so it survives the process boundary), its
+    decision trace logged while the trial ran.
     """
     return TrialRunner(
         program_factory, scheduler_factory, base_seed,
         max_steps=max_steps, count_operations=count_operations,
         trial_timeout_s=trial_timeout_s, sanitize=sanitize,
         artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        record_mode=record_mode, model=model,
+        model=model,
     ).run(index)
 
 
 def _write_artifact(artifact_dir: str, program_factory: ProgramFactory,
                     scheduler_factory: SchedulerFactory,
-                    recorder, run: Optional[RunResult],
+                    trace: Trace, run: Optional[RunResult],
                     error: Optional[str], *, base_seed: int, index: int,
                     trial_seed: int, max_steps: int,
                     spin_threshold: int, model: str = "c11") -> Optional[str]:
@@ -657,13 +616,10 @@ def _write_artifact(artifact_dir: str, program_factory: ProgramFactory,
     outcome = classify_outcome(run, error)
     if outcome is None:
         return None
-    trace = recorder.trace
-    trace.seed = trial_seed
-    trace.spin_threshold = spin_threshold
     artifact = BugArtifact(
         outcome=outcome,
         program=trace.program or getattr(program_factory, "name", ""),
-        scheduler=recorder.inner.name,
+        scheduler=trace.scheduler,
         trial_index=index,
         trial_seed=trial_seed,
         base_seed=base_seed,
@@ -740,7 +696,6 @@ def run_campaign(program_factory: ProgramFactory,
                  sanitize: str = "off",
                  artifact_dir: Optional[str] = None,
                  spin_threshold: int = 8,
-                 record_mode: str = "on_failure",
                  model: str = "c11",
                  ) -> CampaignResult:
     """Run ``trials`` independent randomized tests and aggregate.
@@ -751,8 +706,7 @@ def run_campaign(program_factory: ProgramFactory,
     audits trial graphs against the consistency axioms (``"sampled"``:
     every :data:`SANITIZE_SAMPLE_STRIDE`-th trial; ``"all"``: every
     trial); ``artifact_dir`` makes failing trials emit replayable bug
-    artifacts there (``record_mode`` selects how their traces are
-    captured).  ``model`` selects the memory-model backend every trial
+    artifacts there.  ``model`` selects the memory-model backend every trial
     executes under (``"c11"`` default, ``"tso"``); artifacts record it
     so replay picks the same backend.
 
@@ -776,7 +730,7 @@ def run_campaign(program_factory: ProgramFactory,
         max_steps=max_steps, count_operations=count_operations,
         trial_timeout_s=trial_timeout_s, sanitize=sanitize,
         artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        record_mode=record_mode, model=model,
+        model=model,
     )
     acc = CampaignAccumulator()
     gc_was_enabled = gc.isenabled()

@@ -207,13 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "for every trial that finds a bug, "
                                    "errors, times out, or is flagged "
                                    "inconsistent")
-    campaign_cmd.add_argument("--record-mode", default="on_failure",
-                              choices=("on_failure", "always"),
-                              help="how artifact traces are captured: "
-                                   "'on_failure' (default) re-executes "
-                                   "failing trials deterministically with "
-                                   "recording on; 'always' records every "
-                                   "trial as it runs")
 
     serve_cmd = sub.add_parser(
         "serve",
@@ -570,7 +563,6 @@ def _args_to_job_spec(args):
         max_retries=args.max_retries,
         sanitize=args.sanitize,
         model=args.model,
-        record_mode=getattr(args, "record_mode", "on_failure"),
         artifact_dir=getattr(args, "artifacts", None),
     )
 

@@ -145,7 +145,6 @@ class ShardSpec:
     sanitize: str = "off"
     artifact_dir: Optional[str] = None
     spin_threshold: int = 8
-    record_mode: str = "on_failure"
     model: str = "c11"
 
     def make_runner(self) -> TrialRunner:
@@ -157,7 +156,6 @@ class ShardSpec:
             trial_timeout_s=self.trial_timeout_s, sanitize=self.sanitize,
             artifact_dir=self.artifact_dir,
             spin_threshold=self.spin_threshold,
-            record_mode=self.record_mode,
             model=self.model,
         )
 
@@ -718,7 +716,6 @@ def run_campaign_parallel(
         sanitize: str = "off",
         artifact_dir: Optional[str] = None,
         spin_threshold: int = 8,
-        record_mode: str = "on_failure",
         model: str = "c11",
         hang_timeout_s: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
@@ -797,7 +794,7 @@ def run_campaign_parallel(
             max_steps, jobs, scheduler_name, count_operations, progress,
             chunks_per_job, trial_timeout_s, checkpoint, resume,
             max_retries, retry_backoff_s, start_method, sanitize,
-            artifact_dir, spin_threshold, record_mode, model,
+            artifact_dir, spin_threshold, model,
             hang_timeout_s, memory_limit_mb, watchdog_stats,
             watchdog_poll_s, on_pool_change, term_seen)
 
@@ -806,8 +803,8 @@ def _run_campaign_parallel(
         program_factory, scheduler_factory, trials, base_seed, max_steps,
         jobs, scheduler_name, count_operations, progress, chunks_per_job,
         trial_timeout_s, checkpoint, resume, max_retries, retry_backoff_s,
-        start_method, sanitize, artifact_dir, spin_threshold, record_mode,
-        model, hang_timeout_s, memory_limit_mb, watchdog_stats,
+        start_method, sanitize, artifact_dir, spin_threshold, model,
+        hang_timeout_s, memory_limit_mb, watchdog_stats,
         watchdog_poll_s, on_pool_change, term_seen) -> CampaignResult:
     """Campaign body; runs with SIGTERM mapped onto KeyboardInterrupt."""
     if (jobs <= 1 or trials < jobs) and checkpoint is None:
@@ -818,8 +815,7 @@ def _run_campaign_parallel(
             count_operations=count_operations,
             trial_timeout_s=trial_timeout_s,
             sanitize=sanitize, artifact_dir=artifact_dir,
-            spin_threshold=spin_threshold, record_mode=record_mode,
-            model=model,
+            spin_threshold=spin_threshold, model=model,
         )
         if progress is not None:
             progress(CampaignProgress(trials, trials, result.elapsed_s))
@@ -852,7 +848,7 @@ def _run_campaign_parallel(
     worker_config = ShardSpec(
         program_factory, scheduler_factory, base_seed, max_steps,
         count_operations, trial_timeout_s, sanitize, artifact_dir,
-        spin_threshold, record_mode, model)
+        spin_threshold, model)
     shards = [
         tuple(remaining[start:stop])
         for start, stop in shard_bounds(len(remaining), max(jobs, 1),

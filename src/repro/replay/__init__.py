@@ -7,7 +7,6 @@ from .minimize import (
     minimize_trace,
 )
 from .recording import (
-    RecordingScheduler,
     ReplayScheduler,
     find_and_record,
     record_run,
@@ -17,7 +16,6 @@ from .trace import Trace
 
 __all__ = [
     "MinimalConfig",
-    "RecordingScheduler",
     "ReplayScheduler",
     "Trace",
     "find_and_record",

@@ -1,11 +1,13 @@
 """Recording and replaying test executions.
 
-:class:`RecordingScheduler` wraps any scheduler, forwarding every decision
-to it and logging the outcome into a :class:`repro.replay.trace.Trace`;
-:class:`ReplayScheduler` re-executes a trace deterministically.  Replay
-works because the executor is deterministic given the decision sequence:
-the candidate write lists a read chooses from are a pure function of the
-decisions taken so far.
+:func:`record_run` runs a program with the executor's decision log on
+(:attr:`repro.runtime.executor.Executor.decisions`), the same log
+campaigns use for the traces of their bug artifacts, and returns it as
+a :class:`repro.replay.trace.Trace`; :class:`ReplayScheduler`
+re-executes a trace deterministically.  Replay works because the
+executor is deterministic given the decision sequence: the candidate
+write lists a read chooses from are a pure function of the decisions
+taken so far.
 
     result, trace = record_run(program_factory(), PCTWMScheduler(2, 10))
     again = replay_run(program_factory(), trace)
@@ -18,65 +20,10 @@ from typing import Callable, Optional, Tuple
 
 from ..memory.events import Event
 from ..runtime.errors import ReplayDivergenceError, ReproError
-from ..runtime.executor import RunResult, run_once
+from ..runtime.executor import Executor, RunResult, run_once
 from ..runtime.program import Program
 from ..runtime.scheduler import ReadContext, Scheduler
 from .trace import READ, THREAD, Trace
-
-
-class RecordingScheduler(Scheduler):
-    """Wraps an inner scheduler and logs its decisions."""
-
-    def __init__(self, inner: Scheduler):
-        super().__init__(seed=0)
-        self.inner = inner
-        self.name = f"record({inner.name})"
-        self.trace = Trace(scheduler=inner.name)
-
-    def reseed(self, seed=None) -> None:
-        """Forward to the wrapped scheduler (recording consumes no RNG)."""
-        self.inner.reseed(seed)
-
-    def on_run_start(self, state) -> None:
-        self.trace = Trace(program=state.program.name,
-                           scheduler=self.inner.name)
-        self.inner.on_run_start(state)
-
-    def choose_thread(self, state) -> int:
-        tid = self.inner.choose_thread(state)
-        self.trace.record_thread(tid)
-        return tid
-
-    def choose_read_from(self, state, ctx: ReadContext) -> Event:
-        source = self.inner.choose_read_from(state, ctx)
-        candidates = ctx.candidates
-        # Candidate lists are contiguous mo slices (the coherence-visible
-        # suffix), so the recorded index is the mo-distance from the first
-        # candidate — O(1) instead of a list scan.  The identity check
-        # falls back to scanning for exotic hand-built contexts.
-        index = source.mo_index - candidates[0].mo_index if candidates else -1
-        if not 0 <= index < len(candidates) \
-                or candidates[index] is not source:
-            try:
-                index = list(candidates).index(source)
-            except ValueError:
-                raise ReproError(
-                    f"{self.inner.name} chose a source outside the "
-                    "candidate list; cannot record"
-                )
-        self.trace.record_read(index)
-        return source
-
-    def on_event_executed(self, state, event, info) -> None:
-        self.inner.on_event_executed(state, event, info)
-
-    def on_thread_created(self, state, tid, parent_tid) -> None:
-        # Not forwarding this hook would desync any priority/view-keeping
-        # inner scheduler the moment the program spawns a thread.
-        self.inner.on_thread_created(state, tid, parent_tid)
-
-    def on_thread_finished(self, state, tid) -> None:
-        self.inner.on_thread_finished(state, tid)
 
 
 class ReplayScheduler(Scheduler):
@@ -139,11 +86,12 @@ def record_run(program: Program, scheduler: Scheduler,
     threshold changes the livelock heuristic's read promotions and can
     diverge silently, so :func:`replay_run` defaults to the recorded one.
     """
-    recorder = RecordingScheduler(scheduler)
-    result = run_once(program, recorder, max_steps=max_steps,
-                      spin_threshold=spin_threshold)
-    recorder.trace.spin_threshold = spin_threshold
-    return result, recorder.trace
+    trace = Trace(program=program.name, scheduler=scheduler.name,
+                  spin_threshold=spin_threshold)
+    executor = Executor(program, scheduler, max_steps=max_steps,
+                        spin_threshold=spin_threshold)
+    executor.decisions = trace.decisions
+    return executor.run(), trace
 
 
 def replay_run(program: Program, trace: Trace,

@@ -13,9 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-#: Decision kinds.
-THREAD = "t"
-READ = "r"
+from ..runtime.scheduler import READ, THREAD
 
 
 @dataclass
@@ -31,12 +29,6 @@ class Trace:
     #: lists the recorded indices point into — so replay defaults to this.
     spin_threshold: int = 8
     decisions: List[Tuple[str, int]] = field(default_factory=list)
-
-    def record_thread(self, tid: int) -> None:
-        self.decisions.append((THREAD, tid))
-
-    def record_read(self, candidate_index: int) -> None:
-        self.decisions.append((READ, candidate_index))
 
     def __len__(self) -> int:
         return len(self.decisions)

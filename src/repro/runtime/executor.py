@@ -46,7 +46,7 @@ from .ops import (
     is_communication_op,
 )
 from .program import Program
-from .scheduler import ReadContext, Scheduler
+from .scheduler import READ, THREAD, ReadContext, Scheduler
 from .thread import ThreadState
 
 
@@ -269,6 +269,14 @@ class Executor:
         #: executor reuses a single instance instead of allocating one
         #: per load.
         self._ctx = ReadContext(0, "", MemoryOrder.RELAXED, candidates=())
+        #: Decision log, or None (the default) to record nothing.  Set it
+        #: to a fresh list before :meth:`run` and the run appends every
+        #: ``choose_thread`` result as ``(THREAD, tid)`` and every
+        #: validated ``choose_read_from`` choice as ``(READ, offset from
+        #: the coherence floor)``: the decisions of a
+        #: :class:`repro.replay.trace.Trace`.  A run that raises keeps the
+        #: decisions it made up to the raise.
+        self.decisions: Optional[List[Tuple[str, int]]] = None
 
     # -- public API ---------------------------------------------------------
 
@@ -313,6 +321,7 @@ class Executor:
         threads = state.threads
         max_steps = self.max_steps
         fast = state.fast
+        log = self.decisions
         while True:
             if (state._unfinished == 0) if fast else state.all_finished():
                 self._run_final_checks(state, result)
@@ -337,6 +346,8 @@ class Executor:
                 result.diagnostics = collect_failure_diagnostics(state)
                 return
             tid = choose_thread(state)
+            if log is not None:
+                log.append((THREAD, tid))
             if tid not in enabled:
                 raise ReproError(
                     f"{scheduler.name} chose disabled thread {tid}"
@@ -612,6 +623,8 @@ class Executor:
                     f"{scheduler.name} chose rf source outside the "
                     f"visible set: {source!r}"
                 )
+        if self.decisions is not None:
+            self.decisions.append((READ, source.mo_index - ctx.floor_index()))
         # Commit the read (previously the separate ``_finish_read`` — the
         # load path is the hottest in the engine, so it is kept flat).
         result = source.wval

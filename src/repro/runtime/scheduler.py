@@ -25,6 +25,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .executor import ExecutionState
     from .ops import Op
 
+#: Decision kinds, one per choice family: a decision log is a list of
+#: ``(THREAD, tid)`` and ``(READ, offset from the coherence floor)``
+#: pairs (the :class:`repro.replay.trace.Trace` format).
+THREAD = "t"
+READ = "r"
+
 
 class ReadContext:
     """Everything a scheduler may consult when choosing an rf source.

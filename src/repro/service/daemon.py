@@ -232,7 +232,9 @@ class CampaignDaemon:
         if idempotency_key:
             existing = self.queue.find_idempotent(tenant, idempotency_key)
             if existing is not None:
-                if existing.spec == spec.to_dict():
+                # Compared as specs: a record persisted before a field
+                # was retired still matches a resubmit of the same job.
+                if JobSpec.from_dict(existing.spec) == spec:
                     self.log(f"{existing.id}: idempotent replay "
                              f"(key {idempotency_key!r})")
                     return dict(existing.to_dict(), replayed=True)

@@ -42,7 +42,10 @@ __all__ = [
 
 _SANITIZE_CHOICES = ("off", "sampled", "all")
 _MODEL_CHOICES = ("c11", "tso")
-_RECORD_MODES = ("on_failure", "always")
+#: Values of the retired ``record_mode`` field.  Artifacts now always take
+#: their trace from the first run, so both mean the same and
+#: :meth:`JobSpec.from_dict` drops them from older job records.
+_RETIRED_RECORD_MODES = ("on_failure", "always")
 
 
 @dataclass
@@ -63,14 +66,24 @@ class JobSpec:
     max_retries: int = 2
     sanitize: str = "off"
     model: str = "c11"
-    record_mode: str = "on_failure"
     artifact_dir: Optional[str] = None
+
+    #: A ``record_mode`` value :meth:`from_dict` could not drop, kept for
+    #: :meth:`validate` to reject.  Not a field, so never serialized.
+    _bad_record_mode = None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "JobSpec":
-        """Build a spec from untrusted JSON; unknown keys are rejected."""
+        """Build a spec from untrusted JSON; unknown keys are rejected.
+
+        The retired ``record_mode`` key is dropped when it holds one of
+        its old values, so job records persisted before its retirement
+        still load; any other value fails :meth:`validate`.
+        """
         if not isinstance(obj, dict):
             raise ValueError("job spec must be a JSON object")
+        obj = dict(obj)
+        record_mode = obj.pop("record_mode", None)
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416
         unknown = sorted(set(obj) - known)
         if unknown:
@@ -78,7 +91,11 @@ class JobSpec:
                 f"unknown job spec field(s): {', '.join(unknown)}")
         if "benchmark" not in obj:
             raise ValueError("job spec requires a 'benchmark'")
-        return cls(**obj)
+        spec = cls(**obj)
+        if record_mode is not None \
+                and record_mode not in _RETIRED_RECORD_MODES:
+            spec._bad_record_mode = record_mode
+        return spec
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -142,10 +159,11 @@ class JobSpec:
             raise ValueError(
                 f"unknown sanitize mode {self.sanitize!r}; known: "
                 + ", ".join(_SANITIZE_CHOICES))
-        if self.record_mode not in _RECORD_MODES:
+        if self._bad_record_mode is not None:
             raise ValueError(
-                f"unknown record mode {self.record_mode!r}; known: "
-                + ", ".join(_RECORD_MODES))
+                f"unknown record mode {self._bad_record_mode!r}; the "
+                "retired record_mode field accepts only "
+                + ", ".join(_RETIRED_RECORD_MODES))
 
 
 def resolve_factories(spec: JobSpec):
@@ -218,7 +236,6 @@ def run_job(spec: JobSpec,
         start_method=start_method,
         sanitize=spec.sanitize,
         artifact_dir=spec.artifact_dir,
-        record_mode=spec.record_mode,
         model=spec.model,
         hang_timeout_s=spec.hang_timeout_s,
         memory_limit_mb=spec.memory_limit_mb,

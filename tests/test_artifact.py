@@ -13,8 +13,10 @@ import os
 import pytest
 
 from repro.core.factory import SchedulerSpec
+import repro.harness.artifact as artifact_module
 from repro.harness.artifact import (
     BugArtifact,
+    artifact_path,
     classify_outcome,
     load_artifact,
     replay_artifact,
@@ -165,6 +167,61 @@ class TestSerialArtifacts:
         assert result.hits == 0
         assert result.artifacts == []
         assert glob.glob(os.path.join(str(tmp_path), "*.json")) == []
+
+
+class _TornFile:
+    """A file that accepts half of one write, then fails like a full
+    disk (or a worker killed mid-write)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+    def write(self, text):
+        self._fh.write(text[:len(text) // 2])
+        raise OSError("no space left on device")
+
+
+class TestAtomicSave:
+    def _artifact(self, tmp_path):
+        result = run_campaign(MSQUEUE, PCTWM_SPEC, trials=1,
+                              artifact_dir=str(tmp_path / "first"))
+        return load_artifact(result.artifacts[0])
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path,
+                                                 monkeypatch):
+        artifact = self._artifact(tmp_path)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        path = artifact_path(str(directory), 0)
+        monkeypatch.setattr(artifact_module, "open",
+                            lambda name, mode: _TornFile(open(name, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            artifact.save(path)
+        monkeypatch.undo()
+        assert os.listdir(directory) == []
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        artifact = self._artifact(tmp_path)
+        path = artifact_path(str(tmp_path), 0)
+        artifact.save(path)
+        before = open(path).read()
+        monkeypatch.setattr(artifact_module, "open",
+                            lambda name, mode: _TornFile(open(name, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            artifact.save(path)
+        monkeypatch.undo()
+        assert open(path).read() == before
+        assert load_artifact(path).to_json() == artifact.to_json()
+        assert sorted(os.listdir(tmp_path)) == ["first", "trial-000000.json"]
 
 
 class TestWorkerArtifacts:

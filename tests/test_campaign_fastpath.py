@@ -2,12 +2,12 @@
 
 Three contracts:
 
-* **Record-on-failure is invisible.**  ``record_mode="on_failure"``
-  (the default) runs trials without a recording scheduler and
-  deterministically re-executes failures to capture the trace; the
-  artifacts it writes must be byte-identical to ``record_mode="always"``
-  for every failure outcome (bug, error, timeout, inconsistent), and a
-  re-recorded artifact must still replay.
+* **Recording from the first run is exact.**  With an artifact
+  directory the executor logs each trial's decisions as it runs; for
+  every failure outcome (bug, error, timeout, inconsistent), under C11
+  and TSO, an artifact's trace equals a cold recording of the same
+  trial seed under either engine, replaying it reproduces the run, and
+  the log leaves every campaign aggregate unchanged.
 * **Warm state is invisible.**  A :class:`TrialRunner` reusing its
   scheduler/program/executor/execution-state across trials (registry
   specs declare ``supports_reuse``) must produce trial records identical
@@ -22,7 +22,11 @@ import dataclasses
 import math
 import os
 
+import pytest
+
+import repro.runtime.executor as executor_module
 from repro.core.factory import SchedulerSpec
+from repro.fuzz.driver import run_fingerprint
 from repro.harness.artifact import load_artifact, replay_artifact
 from repro.harness.campaign import (
     ERROR_SAMPLE_LIMIT,
@@ -32,9 +36,14 @@ from repro.harness.campaign import (
     TrialRecord,
     TrialRunner,
     run_campaign,
+    summarize_exception,
 )
 from repro.memory.events import RLX
+from repro.memory.model import resolve_model
 from repro.memory.visibility import VisibilityTracker
+from repro.replay import ReplayScheduler, record_run
+from repro.replay.trace import READ, THREAD
+from repro.runtime.executor import Executor
 from repro.runtime.program import Program
 from repro.workloads import BENCHMARKS
 from repro.workloads.registry import ProgramSpec
@@ -64,6 +73,18 @@ def _crashing_program() -> Program:
     return p
 
 
+def _crashing_before_first_op() -> Program:
+    p = Program("early-crasher")
+    x = p.atomic("X", 0)
+
+    def t0():
+        raise RuntimeError("crash while priming")
+        yield x.store(1, RLX)  # pragma: no cover - makes t0 a generator
+
+    p.add_thread(t0)
+    return p
+
+
 def _store_store_load() -> Program:
     p = Program("ssl")
     x = p.atomic("X", 0)
@@ -78,12 +99,21 @@ def _store_store_load() -> Program:
     return p
 
 
-def _artifact_bytes(directory) -> dict:
-    out = {}
-    for name in sorted(os.listdir(directory)):
-        with open(os.path.join(directory, name), "rb") as fh:
-            out[name] = fh.read()
-    return out
+def _long_program() -> Program:
+    """Two threads of 30 store/load pairs: long enough to time out."""
+    p = Program("long")
+    x = p.atomic("X", 0)
+
+    def body(n):
+        total = 0
+        for i in range(n):
+            yield x.store(i, RLX)
+            total += yield x.load(RLX)
+        return total
+
+    p.add_thread(body, 30)
+    p.add_thread(body, 30)
+    return p
 
 
 def _campaign_aggregates(result: CampaignResult) -> tuple:
@@ -93,70 +123,194 @@ def _campaign_aggregates(result: CampaignResult) -> tuple:
             result.error_samples, result.violation_samples)
 
 
-class TestRecordOnFailureIdentity:
-    """on_failure artifacts are byte-identical to always-record ones."""
+class _FakeClock:
+    """Stands in for the executor's clock: one second per reading."""
 
-    def _both_modes(self, tmp_path, program_factory, scheduler_factory,
-                    trials, **kwargs):
-        results = {}
-        for mode in ("always", "on_failure"):
-            directory = tmp_path / mode
-            directory.mkdir()
-            results[mode] = run_campaign(
-                program_factory, scheduler_factory, trials=trials,
-                base_seed=3, artifact_dir=str(directory),
-                record_mode=mode, **kwargs)
-        assert _campaign_aggregates(results["always"]) == \
-            _campaign_aggregates(results["on_failure"])
-        always = _artifact_bytes(tmp_path / "always")
-        on_failure = _artifact_bytes(tmp_path / "on_failure")
-        assert list(always) == list(on_failure)
-        for name in always:
-            assert always[name] == on_failure[name], name
-        return results["on_failure"], on_failure
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+def _cold_run(artifact, program_factory, scheduler_factory, engine,
+              decisions=None):
+    """Re-run an artifact's trial from scratch: a fresh program,
+    scheduler and executor, the trial's seed, no wall clock, and a
+    timed-out trial's step count as the step budget.  Returns
+    ``(result, error)``; ``decisions`` (a list) turns the log on.
+    """
+    max_steps = artifact.steps if artifact.outcome == "timeout" \
+        else artifact.max_steps
+    executor = resolve_model(artifact.model).make_executor(
+        program_factory(), scheduler_factory(artifact.trial_seed),
+        max_steps=max_steps, spin_threshold=artifact.spin_threshold,
+        engine=engine, sanitize=artifact.outcome == "inconsistent")
+    executor.decisions = decisions
+    try:
+        return executor.run(), None
+    except Exception as exc:
+        return None, summarize_exception(exc)
+
+
+class TestRecordOnFailureIdentity:
+    """A failing trial's artifact trace is the log of its first run.
+
+    Oracle: a cold recording of the same trial seed (fresh program,
+    scheduler and executor, under either engine) logs the same
+    decisions, and replaying the trace reproduces the first run.
+    """
+
+    def _check(self, tmp_path, program_factory, scheduler_factory,
+               trials, model="c11", **kwargs):
+        """Run a campaign with artifacts and check every one of them."""
+        result = run_campaign(
+            program_factory, scheduler_factory, trials=trials,
+            base_seed=3, artifact_dir=str(tmp_path), model=model,
+            **kwargs)
+        artifacts = [load_artifact(path) for path in result.artifacts]
+        for artifact in artifacts:
+            self._check_trace(artifact, program_factory, scheduler_factory)
+        return result, artifacts
+
+    def _check_trace(self, artifact, program_factory, scheduler_factory):
+        trace = artifact.trace
+        assert trace.seed == artifact.trial_seed
+        assert trace.scheduler == artifact.scheduler
+        for engine in ("fast", "reference"):
+            decisions = []
+            first, error = _cold_run(artifact, program_factory,
+                                     scheduler_factory, engine, decisions)
+            assert decisions == trace.decisions, engine
+            assert error == artifact.error, engine
+            if first is None:
+                continue
+            assert first.steps == artifact.steps
+            replay = ReplayScheduler(trace)
+            again = resolve_model(artifact.model).run_once(
+                program_factory(), replay, max_steps=first.steps,
+                spin_threshold=trace.spin_threshold, engine=engine,
+                sanitize=artifact.outcome == "inconsistent")
+            assert replay.fully_consumed
+            assert run_fingerprint(again) == run_fingerprint(first), engine
+        if artifact.model == "c11" and artifact.error is None:
+            _result, cold = record_run(
+                program_factory(),
+                scheduler_factory(artifact.trial_seed),
+                max_steps=first.steps,
+                spin_threshold=artifact.spin_threshold)
+            assert (cold.program, cold.scheduler, cold.decisions) == \
+                (trace.program, trace.scheduler, trace.decisions)
+        if artifact.model == "tso":
+            assert {kind for kind, _ in trace.decisions} <= {THREAD}
 
     def test_bug_outcome(self, tmp_path):
-        result, artifacts = self._both_modes(
-            tmp_path, MSQUEUE_SPEC, PCTWM_SPEC, trials=10)
-        assert result.hits > 0
-        assert len(artifacts) == result.hits
+        # msqueue rarely fails under TSO; dekker's SB shape does.
+        kinds = {}
+        for model, program in (("c11", MSQUEUE_SPEC),
+                               ("tso", ProgramSpec("dekker"))):
+            result, artifacts = self._check(
+                tmp_path / model, program, PCTWM_SPEC, trials=20,
+                model=model)
+            assert result.hits > 0
+            assert len(artifacts) == result.hits
+            kinds[model] = {kind for artifact in artifacts
+                            for kind, _ in artifact.trace.decisions}
+        assert kinds == {"c11": {THREAD, READ}, "tso": {THREAD}}
 
     def test_error_outcome(self, tmp_path):
-        result, artifacts = self._both_modes(
-            tmp_path, _crashing_program, PCTWM_SPEC, trials=2)
+        for model in ("c11", "tso"):
+            result, artifacts = self._check(
+                tmp_path / model, _crashing_program, PCTWM_SPEC, trials=2,
+                model=model)
+            assert result.errors == 2
+            assert len(artifacts) == 2
+            assert all(len(a.trace) > 0 for a in artifacts)
+
+    def test_crash_before_the_run_starts(self, tmp_path):
+        # Priming the threads raises before the executor's loop runs: the
+        # trace stays empty and carries no program name.
+        result, artifacts = self._check(
+            tmp_path, _crashing_before_first_op, PCTWM_SPEC, trials=2)
         assert result.errors == 2
-        assert len(artifacts) == 2
+        assert [(a.trace.program, len(a.trace)) for a in artifacts] == \
+            [("", 0), ("", 0)]
 
     def test_timeout_outcome(self, tmp_path):
         # trial_timeout_s=0.0 deterministically times out before the
-        # first step in both modes (the deadline is checked at step 0),
-        # so the re-recorded trace is empty exactly like the live one.
-        result, artifacts = self._both_modes(
+        # first step (the deadline is checked at step 0): empty trace.
+        result, artifacts = self._check(
             tmp_path, ProgramSpec("dekker"), PCTWM_SPEC, trials=2,
             trial_timeout_s=0.0)
         assert result.timeouts == 2
         assert len(artifacts) == 2
-        artifact = load_artifact(result.artifacts[0])
+        artifact = artifacts[0]
         assert artifact.outcome == "timeout"
         assert artifact.steps == 0
         assert len(artifact.trace) == 0
+
+    @pytest.mark.parametrize("model", ["c11", "tso"])
+    def test_timeout_trace_stops_at_last_step(self, tmp_path, monkeypatch,
+                                              model):
+        # A clock that advances one second per reading times a 1.5 s
+        # budget out at the second deadline check, step 32.
+        monkeypatch.setattr(executor_module, "time", _FakeClock())
+        result = run_campaign(
+            _long_program, PCTWM_SPEC, trials=2, base_seed=3,
+            artifact_dir=str(tmp_path), model=model, trial_timeout_s=1.5)
+        monkeypatch.undo()
+        assert result.timeouts == 2
+        for path in result.artifacts:
+            artifact = load_artifact(path)
+            assert artifact.outcome == "timeout"
+            assert artifact.steps == Executor.DEADLINE_CHECK_STRIDE
+            threads = [v for kind, v in artifact.trace.decisions
+                       if kind == THREAD]
+            assert len(threads) == artifact.steps
+            self._check_trace(artifact, _long_program, PCTWM_SPEC)
+            report = replay_artifact(artifact, program_factory=_long_program)
+            assert report.matched, report.mismatch
 
     def test_inconsistent_outcome(self, tmp_path, monkeypatch):
         def evil(self, tid, loc, clock, seq_cst=False):
             return self._graph.writes_by_loc[loc][:1]
 
         monkeypatch.setattr(VisibilityTracker, "visible_writes", evil)
-        result, artifacts = self._both_modes(
+        result, artifacts = self._check(
             tmp_path, _store_store_load, SchedulerSpec("c11tester"),
             trials=2, sanitize="all")
         assert result.inconsistent == 2
         assert len(artifacts) == 2
-        assert load_artifact(result.artifacts[0]).outcome == "inconsistent"
+        assert artifacts[0].outcome == "inconsistent"
+
+    @pytest.mark.parametrize("model", ["c11", "tso"])
+    def test_inconsistent_outcome_sampled(self, tmp_path, monkeypatch,
+                                          model):
+        monkeypatch.setattr(executor_module, "check_consistency",
+                            lambda graph: ["injected violation"])
+        result, artifacts = self._check(
+            tmp_path, ProgramSpec("seqlock"), PCTWM_SPEC, trials=12,
+            model=model, sanitize="sampled")
+        assert result.inconsistent == 2  # trials 0 and 10
+        assert {a.trial_index for a in artifacts
+                if a.outcome == "inconsistent"} == {0, 10}
+
+    def test_scheduler_factory_raises_writes_no_artifact(self, tmp_path):
+        def broken(seed):
+            raise RuntimeError("no scheduler for you")
+
+        result = run_campaign(
+            ProgramSpec("dekker"), broken, trials=2, base_seed=3,
+            scheduler_name="broken", artifact_dir=str(tmp_path))
+        assert result.errors == 2
+        assert result.artifacts == []
+        assert os.listdir(tmp_path) == []
 
     def test_rerecorded_artifact_replays(self, tmp_path):
         result = run_campaign(
             MSQUEUE_SPEC, PCTWM_SPEC, trials=10, base_seed=3,
-            artifact_dir=str(tmp_path), record_mode="on_failure")
+            artifact_dir=str(tmp_path))
         assert result.hits > 0
         artifact = load_artifact(result.artifacts[0])
         assert artifact.outcome == "bug"
@@ -164,17 +318,18 @@ class TestRecordOnFailureIdentity:
         assert report.matched, report.mismatch
         assert report.result.bug_message == artifact.bug_message
 
-    def test_results_match_without_artifacts(self):
-        # Even with no artifact dir the two modes must agree on every
-        # aggregate: recording wraps the scheduler but consumes no
-        # randomness, so first-run outcomes are mode-independent.
-        kwargs = dict(trials=12, base_seed=3)
-        always = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC,
-                              record_mode="always", **kwargs)
-        on_failure = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC,
-                                  record_mode="on_failure", **kwargs)
-        assert _campaign_aggregates(always) == \
-            _campaign_aggregates(on_failure)
+    def test_results_match_without_artifacts(self, tmp_path):
+        # The decision log consumes no randomness: recording trials for
+        # artifacts leaves every aggregate as it is without them.
+        for model in ("c11", "tso"):
+            kwargs = dict(trials=12, base_seed=3, model=model,
+                          sanitize="sampled")
+            logged = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC,
+                                  artifact_dir=str(tmp_path / model),
+                                  **kwargs)
+            plain = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC, **kwargs)
+            assert _campaign_aggregates(logged) == \
+                _campaign_aggregates(plain), model
 
 
 def _strip_timing(record: TrialRecord) -> dict:

@@ -12,17 +12,15 @@ from repro.replay import (
     record_run,
     replay_run,
 )
-from repro.replay.trace import THREAD
+from repro.replay.trace import READ, THREAD
 from repro.runtime.errors import ReplayDivergenceError, ReproError
 from repro.workloads import BENCHMARKS
 
 
 class TestTrace:
     def test_roundtrip_json(self):
-        trace = Trace(program="p", scheduler="s", seed=7)
-        trace.record_thread(0)
-        trace.record_read(2)
-        trace.record_thread(1)
+        trace = Trace(program="p", scheduler="s", seed=7,
+                      decisions=[(THREAD, 0), (READ, 2), (THREAD, 1)])
         restored = Trace.from_json(trace.to_json())
         assert restored.program == "p"
         assert restored.seed == 7
@@ -33,10 +31,8 @@ class TestTrace:
             Trace.from_json('{"decisions": [["x", 1]]}')
 
     def test_len(self):
-        trace = Trace()
-        assert len(trace) == 0
-        trace.record_thread(0)
-        assert len(trace) == 1
+        assert len(Trace()) == 0
+        assert len(Trace(decisions=[(THREAD, 0)])) == 1
 
 
 class TestRecordReplay:

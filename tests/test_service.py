@@ -85,6 +85,13 @@ class TestJobSpec:
         with pytest.raises(ValueError, match=fragment):
             spec.validate()
 
+    @pytest.mark.parametrize("record_mode", ["on_failure", "always"])
+    def test_retired_record_mode_is_dropped(self, record_mode):
+        spec = JobSpec.from_dict(spec_dict(record_mode=record_mode))
+        assert spec == JobSpec.from_dict(spec_dict())
+        assert "record_mode" not in spec.to_dict()
+        spec.validate()
+
     def test_valid_spec_passes(self):
         JobSpec.from_dict(spec_dict(
             trial_timeout_s=5.0, hang_timeout_s=30.0,
@@ -313,6 +320,39 @@ class TestRestartRecovery:
         assert finished["result"]["resumed_trials"] == partial.completed
         assert bit_key(finished["result"]) == bit_key(reference)
         assert finished["attempts"] == 2
+
+    @pytest.mark.parametrize("record_mode", ["on_failure", "always"])
+    def test_record_with_retired_record_mode_runs_after_restart(
+            self, tmp_path, record_mode):
+        """A job record persisted while specs still carried
+        ``record_mode`` reloads in a restarted daemon and runs."""
+        state = str(tmp_path / "state")
+        spec = spec_dict(benchmark="msqueue", scheduler="pctwm",
+                         artifact_dir=str(tmp_path / "artifacts"))
+        reference = result_summary(run_job(JobSpec.from_dict(
+            dict(spec, artifact_dir=str(tmp_path / "reference")))))
+        legacy = dict(JobSpec.from_dict(spec).to_dict(),
+                      record_mode=record_mode)
+        job = CampaignDaemon(state, quiet=True).queue.submit(legacy)
+
+        daemon = CampaignDaemon(state, quiet=True)
+        assert daemon.queue.get(job.id).spec["record_mode"] == record_mode
+        finished = daemon.process_one()
+        assert finished["id"] == job.id
+        assert finished["status"] == "done", finished.get("error")
+        assert bit_key(finished["result"]) == bit_key(reference)
+        assert reference["hits"] > 0
+        assert sorted(os.listdir(tmp_path / "artifacts")) == \
+            sorted(os.listdir(tmp_path / "reference"))
+
+    def test_idempotent_resubmit_matches_retired_record_mode(self, tmp_path):
+        daemon = CampaignDaemon(str(tmp_path), quiet=True)
+        legacy = dict(JobSpec.from_dict(spec_dict()).to_dict(),
+                      record_mode="always")
+        job = daemon.queue.submit(legacy, idempotency_key="k1")
+        again = daemon.submit(spec_dict(), idempotency_key="k1")
+        assert again["id"] == job.id
+        assert again["replayed"]
 
 
 # -- HTTP API ------------------------------------------------------------------
