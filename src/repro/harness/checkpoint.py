@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Dict, IO, Iterable, Optional, Tuple
 
 from . import faultrig
@@ -61,8 +61,18 @@ _COMPAT_FIELDS = ("program", "scheduler", "base_seed", "trials", "max_steps",
                   "sanitize", "model")
 
 
+#: ``TrialRecord``'s field names, in declaration order.
+_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
+
+
 def _record_to_obj(record: TrialRecord) -> dict:
-    obj = asdict(record)
+    """The record as a journal object: what ``asdict`` gives, cheaper.
+
+    Every field but ``violations`` is a scalar, so a shallow copy of that
+    list is all the deep copy ``asdict`` would make.
+    """
+    obj = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    obj["violations"] = list(record.violations)
     obj["kind"] = "trial"
     return obj
 

@@ -6,9 +6,12 @@ relations ``[A]``, and ``maximal(S, B)``.  Relations are stored as adjacency
 sets keyed by node, which keeps closure computations near-linear for the
 small graphs produced by litmus tests and unit tests.
 
-These operations are used by the consistency-axiom auditor
-(:mod:`repro.memory.axioms`) and by tests; the execution engine itself uses
-vector clocks for the hot-path happens-before queries.
+These operations state the axioms of :func:`repro.memory.axioms
+.check_consistency_reference`, the oracle the tests hold the one-pass
+auditor to, and derive ``com`` for :mod:`repro.analysis`.  Neither the
+sanitizer's audit (:func:`repro.memory.axioms.check_consistency`) nor
+the engine builds relations: the audit walks hb's generators once, and
+the engine answers hot-path happens-before queries with vector clocks.
 """
 
 from __future__ import annotations

@@ -828,8 +828,8 @@ def run_once(program: Program, scheduler: Scheduler,
 
     ``sanitize=True`` audits the generated execution against the
     Section-4 consistency axioms: an O(1)-per-event coherence check
-    during the run plus the full :func:`repro.memory.axioms
-    .check_consistency` audit at run end.  Violations land in
+    during the run plus the one-pass :func:`repro.memory.axioms
+    .check_consistency` audit of every axiom at run end.  Violations land in
     ``result.violations`` (``result.inconsistent``) with a structured
     failure dump in ``result.diagnostics`` — they indicate a bug in the
     *engine*, not the program under test.

@@ -34,7 +34,9 @@ to drain, so joined results are globally visible.
 Sanitization relies on the end-of-run :func:`repro.memory.axioms
 .check_consistency` audit: the *incremental* checker assumes writes
 reach mo at creation and would misread buffer-forwarded rf sources
-(``mo_index`` still ``-1`` at read time), so it is not attached.
+(``mo_index`` still ``-1`` at read time), so it is not attached.  That
+audit checks the C11 axioms, which are weaker than x86-TSO's: a
+TSO-forbidden but C11-consistent execution passes it.
 """
 
 from __future__ import annotations

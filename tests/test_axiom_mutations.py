@@ -6,27 +6,28 @@ maintains the axioms by construction), seed one precise violation by
 tampering with rf / mo / SC edges, and assert that exactly the right
 axiom fires.  This is the soundness check for the sanitizer itself: a
 checker that passes consistent graphs but misses seeded violations would
-make ``--sanitize`` useless.
+make ``--sanitize`` useless.  The cases run against the one-pass auditor
+and, through ``TestSeededViolationsReference``, against the
+relation-algebra oracle.
 """
 
 
 import pytest
 
 from repro.core import C11TesterScheduler
-from repro.memory.axioms import check_consistency
+from repro.memory.axioms import (
+    check_consistency,
+    check_consistency_reference,
+)
 from repro.memory.events import RLX, SC as SEQ
 from repro.runtime import run_once
 from repro.runtime.program import Program
 
 
-def _axioms(graph):
-    return {v.axiom for v in check_consistency(graph)}
-
-
 def _run(program, seed=0):
     result = run_once(program, C11TesterScheduler(seed=seed))
     graph = result.graph
-    assert check_consistency(graph) == [], \
+    assert check_consistency_reference(graph) == [], \
         "engine produced an inconsistent graph before any mutation"
     return graph
 
@@ -51,6 +52,11 @@ def _reads_of(graph, loc):
 
 
 class TestSeededViolations:
+    audit = staticmethod(check_consistency)
+
+    def _axioms(self, graph):
+        return {v.axiom for v in self.audit(graph)}
+
     def test_rf_repoint_fires_read_coherence(self):
         """A read repointed to an mo-older write violates CoWR.
 
@@ -63,7 +69,7 @@ class TestSeededViolations:
         assert read.reads_from is graph.writes_by_loc["X"][2]
         read.reads_from = w1
         read.label = read.label.replace(rval=w1.label.wval)
-        axioms = _axioms(graph)
+        axioms = self._axioms(graph)
         assert "read-coherence" in axioms
         assert "rf" not in axioms  # the value was fixed up: rf stays sane
         assert "atomicity" not in axioms
@@ -82,7 +88,7 @@ class TestSeededViolations:
         writes = graph.writes_by_loc["X"]
         writes[1], writes[2] = writes[2], writes[1]
         writes[1].mo_index, writes[2].mo_index = 1, 2
-        axioms = _axioms(graph)
+        axioms = self._axioms(graph)
         assert "write-coherence" in axioms
         assert "rf" not in axioms
 
@@ -103,7 +109,7 @@ class TestSeededViolations:
         assert rmw.reads_from is not init
         rmw.reads_from = init
         rmw.label = rmw.label.replace(rval=init.label.wval)
-        axioms = _axioms(graph)
+        axioms = self._axioms(graph)
         assert "atomicity" in axioms
 
     def test_sc_reversal_fires_irr_mo_sc(self):
@@ -123,7 +129,7 @@ class TestSeededViolations:
         w1, w2 = graph.sc_order[0], graph.sc_order[1]
         graph.sc_order = [w2, w1]
         w2.sc_index, w1.sc_index = 0, 1
-        axioms = _axioms(graph)
+        axioms = self._axioms(graph)
         assert "irrMOSC" in axioms
         assert "read-coherence" not in axioms
         assert "write-coherence" not in axioms
@@ -133,7 +139,7 @@ class TestSeededViolations:
         graph = _run(_store_store_load())
         (read,) = _reads_of(graph, "X")
         read.label = read.label.replace(rval=read.label.rval + 41)
-        axioms = _axioms(graph)
+        axioms = self._axioms(graph)
         assert "rf" in axioms
 
     @pytest.mark.parametrize("seed", range(5))
@@ -141,4 +147,8 @@ class TestSeededViolations:
         from repro.litmus import mp2, store_buffering
 
         for factory in (mp2, store_buffering):
-            _run(factory(), seed=seed)
+            assert self.audit(_run(factory(), seed=seed)) == []
+
+
+class TestSeededViolationsReference(TestSeededViolations):
+    audit = staticmethod(check_consistency_reference)

@@ -39,6 +39,44 @@ class TestJournalRoundtrip:
         for record in records:
             assert loaded[record.index] == record  # exact, floats included
 
+    def test_record_lines_are_pinned(self, tmp_path):
+        """The bytes of a trial line, violations, artifact and error
+        included, are a resume contract: journals written by one version
+        must load in the next."""
+        path = str(tmp_path / "j.jsonl")
+        records = [
+            make_record(0, bug_found=True, steps=12, k=9,
+                        elapsed_s=0.123456789012345, operations=3,
+                        inconsistent=True,
+                        violations=["read-coherence: <e7 t2 R.X.r=1@rlx>",
+                                    "SC: hb ∪ rf ∪ SC has a cycle"],
+                        artifact="artifacts/trial-000000.json"),
+            make_record(1, steps=0, k=0, elapsed_s=0.5,
+                        error="RuntimeError: boom @ wl.py:9"),
+        ]
+        journal = TrialJournal(path)
+        journal.start(META)
+        journal.append(records)
+        journal.close()
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+        assert lines == [
+            '{"artifact": "artifacts/trial-000000.json", "bug_found": true, '
+            '"crc32": 1787181580, "elapsed_s": 0.123456789012345, '
+            '"error": null, "inconsistent": true, "index": 0, "k": 9, '
+            '"kind": "trial", "limit_exceeded": false, "operations": 3, '
+            '"steps": 12, "timed_out": false, "violations": '
+            '["read-coherence: <e7 t2 R.X.r=1@rlx>", '
+            '"SC: hb \\u222a rf \\u222a SC has a cycle"]}',
+            '{"artifact": null, "bug_found": false, "crc32": 2268965434, '
+            '"elapsed_s": 0.5, "error": "RuntimeError: boom @ wl.py:9", '
+            '"inconsistent": false, "index": 1, "k": 0, "kind": "trial", '
+            '"limit_exceeded": false, "operations": 0, "steps": 0, '
+            '"timed_out": false, "violations": []}',
+        ]
+        _, loaded = load_journal(path)
+        assert [loaded[0], loaded[1]] == records
+
     def test_start_truncates_without_resume(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = TrialJournal(path)
