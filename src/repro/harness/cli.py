@@ -231,23 +231,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="campaign pool start method (default: "
                                 "forkserver — the daemon holds HTTP "
                                 "threads, so fork is unsafe)")
-    serve_cmd.add_argument("--tenants", default=None, metavar="FILE",
-                           help="tenants JSON file; when given, every "
-                                "request needs a bearer token and "
-                                "per-tenant quotas apply")
-    serve_cmd.add_argument("--audit-log", default=None, metavar="FILE",
-                           help="append one JSONL line per API request "
-                                "(tenant, route, outcome) here")
     serve_cmd.add_argument("--worker-budget", type=_positive_int,
                            default=None, metavar="N",
-                           help="global cap on live campaign pool "
-                                "workers across all concurrent jobs "
+                           help="cap on a job's campaign pool workers; "
+                                "jobs run one at a time, each with "
+                                "min(--jobs, N) workers "
                                 "(default: max(4, cpu count))")
-    serve_cmd.add_argument("--max-concurrent-jobs", type=_positive_int,
-                           default=2, metavar="N",
-                           help="campaigns allowed to run at once, "
-                                "splitting the worker budget fairly "
-                                "across tenants (default 2)")
     serve_cmd.add_argument("--quiet", action="store_true",
                            help="suppress per-job log lines")
 
@@ -260,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="daemon base URL (default: "
                               "$REPRO_SERVICE_URL or "
                               "http://127.0.0.1:8642)")
-        cmd.add_argument("--token", default=None,
-                         help="bearer token for a daemon running with "
-                              "--tenants (default: $REPRO_SERVICE_TOKEN)")
 
     submit_cmd = job_sub.add_parser(
         "submit", help="queue one campaign on the daemon")
@@ -634,12 +620,9 @@ def _cmd_serve(args) -> int:
             args.state_dir, host=args.host, port=port,
             rate_per_s=args.rate, burst=args.burst,
             start_method=args.start_method, quiet=args.quiet,
-            tenants_file=args.tenants, audit_log_path=args.audit_log,
-            worker_budget=args.worker_budget,
-            max_concurrent_jobs=args.max_concurrent_jobs)
+            worker_budget=args.worker_budget)
     except (OSError, ValueError) as exc:
-        # Unreadable/invalid tenants file, bad audit-log path, broken
-        # state dir: an operator typo, not a crash.
+        # An unusable state dir: an operator typo, not a crash.
         print(f"error: {exc}")
         return 2
     daemon.serve_forever()
@@ -659,20 +642,15 @@ def _render_job(job: dict) -> str:
 
 
 def _print_service_summary(health: dict) -> None:
-    """One-look service load: queue depth, running jobs, worker budget."""
+    """One-look service load: queue depth, current job, live workers."""
     workers = health.get("workers") or {}
-    running = health.get("running_jobs") or []
     line = (f"daemon {health.get('status', '?')}: "
             f"queue depth {health.get('queue_depth', 0)}, "
-            f"{len(running)} running")
+            f"running {health.get('current_job') or 'nothing'}")
     if workers:
-        line += (f", workers {workers.get('granted', 0)}"
-                 f"/{workers.get('budget', '?')} granted "
-                 f"({workers.get('utilization_pct', 0)}% of budget)")
+        line += (f", workers {workers.get('live', 0)}"
+                 f"/{workers.get('budget', '?')} live")
     print(line)
-    for tenant, row in sorted((health.get("tenants") or {}).items()):
-        print(f"  tenant {tenant}: {row.get('queued', 0)} queued, "
-              f"{row.get('running', 0)} running")
 
 
 def _print_job_result(job: dict) -> int:
@@ -692,7 +670,7 @@ def _cmd_job(args) -> int:
 
     from ..service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url, token=args.token)
+    client = ServiceClient(args.url)
     try:
         if args.job_command == "submit":
             spec = {k: v for k, v in _args_to_job_spec(args)

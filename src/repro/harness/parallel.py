@@ -388,8 +388,8 @@ class _PoolRegistry:
     :func:`_init_worker`), so changing the fault rig between campaigns
     takes effect (as far as the start method passes the environment on:
     forkserver children inherit the forkserver's).  Building a new
-    ``fork`` pool first stops the parked ones.  Thread-safe: a daemon
-    runs campaigns concurrently.
+    ``fork`` pool first stops the parked ones.  Thread-safe: campaigns
+    may run from several threads at once.
     """
 
     def __init__(self) -> None:
@@ -641,26 +641,34 @@ class _ShardSupervisor:
                 warn=_warn,
             )
             watchdog.start()
+
+        def broke(exc: BaseException) -> List[int]:
+            # A worker died, while shards were being submitted or while
+            # they ran; every unfinished shard of this pool is lost (the
+            # pool is unusable).  Which worker held which shard is
+            # unknowable, so all are retried.
+            lost = [k for k in runnable if k in self.pending]
+            _warn(f"worker pool broke ({type(exc).__name__}); "
+                  f"retrying {len(lost)} shard(s)")
+            return lost
+
         clean = False
         try:
-            futures = {
-                pool.executor.submit(_run_shard_warm, self.worker_config,
-                                     shard): key
-                for key, shard in runnable.items()}
+            futures = {}
+            for key, shard in runnable.items():
+                try:
+                    future = pool.executor.submit(
+                        _run_shard_warm, self.worker_config, shard)
+                except (BrokenProcessPool, OSError) as exc:
+                    return broke(exc)
+                futures[future] = key
             lost: List[int] = []
             for future in as_completed(futures):
                 key = futures[future]
                 try:
                     outcome = future.result()
                 except (BrokenProcessPool, OSError) as exc:
-                    # A worker died; every unfinished shard of this pool
-                    # is lost (the pool is unusable).  Which worker held
-                    # which shard is unknowable, so all are retried.
-                    lost = [k for k in futures.values()
-                            if k in self.pending]
-                    _warn(f"worker pool broke ({type(exc).__name__}); "
-                          f"retrying {len(lost)} shard(s)")
-                    break
+                    return broke(exc)
                 except Exception as exc:
                     # The shard itself raised (infrastructure fault, e.g.
                     # unpicklable result); the pool survives.
@@ -668,8 +676,7 @@ class _ShardSupervisor:
                     _warn(f"shard at trial {key} failed: {exc!r}")
                 else:
                     self._complete(key, outcome)
-            else:
-                clean = True
+            clean = True
             return lost
         finally:
             if watchdog is not None:
@@ -762,7 +769,7 @@ def run_campaign_parallel(
     * ``on_pool_change`` — observer of leased pool-worker deltas: called
       ``+n`` when a round leases a pool of ``n`` workers and ``-n`` when
       it hands the pool back (or tears it down), letting a daemon meter
-      concurrent campaigns against a global worker budget.
+      live workers against its worker budget.
     * ``start_method`` — multiprocessing start method ("fork", "spawn",
       "forkserver"); defaults to ``$REPRO_START_METHOD`` or fork.
     * ``sanitize`` — audit trial graphs against the consistency axioms

@@ -8,31 +8,21 @@ HTTP surface live in :mod:`~repro.service.jobs`,
 """
 
 from .client import DEFAULT_URL, ServiceClient, ServiceError
-from .daemon import DEFAULT_PORT, CampaignDaemon
+from .daemon import DEFAULT_PORT, CampaignDaemon, IdempotencyConflict
 from .jobs import JobSpec, result_summary, run_job
 from .queue import Job, JobQueue, TokenBucket
-from .scheduler import DeficitRoundRobin, JobScheduler, WorkerBudget
-from .tenants import (AdmissionController, AdmissionDenied, AuditLog,
-                      TenantConfig, TenantRegistry)
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDenied",
-    "AuditLog",
     "CampaignDaemon",
     "DEFAULT_PORT",
     "DEFAULT_URL",
-    "DeficitRoundRobin",
+    "IdempotencyConflict",
     "Job",
     "JobQueue",
-    "JobScheduler",
     "JobSpec",
     "ServiceClient",
     "ServiceError",
-    "TenantConfig",
-    "TenantRegistry",
     "TokenBucket",
-    "WorkerBudget",
     "result_summary",
     "run_job",
 ]

@@ -3,39 +3,28 @@
 Endpoints (all JSON in, JSON out):
 
 ==========================  ============================================
-``GET  /healthz``           liveness: daemon state, queue depth,
-                            per-tenant load, worker budget utilization,
-                            live watchdog stats
-``GET  /jobs``              the caller's jobs (every job for operators
-                            and in open mode), submission order
+``GET  /healthz``           liveness: daemon state, current job,
+                            queue depth, live workers against the
+                            budget, live watchdog stats
+``GET  /jobs``              every job, submission order
 ``POST /jobs``              submit a campaign job spec; ``201`` + job
                             record, ``200`` idempotent replay, ``400``
-                            invalid, ``401``/``403`` denied, ``409``
-                            idempotency-key conflict, ``429`` throttled
-                            (with ``Retry-After``), ``503`` draining
-``GET  /jobs/<id>``         one job record (``403`` if it belongs to
-                            another tenant)
+                            invalid, ``409`` idempotency-key conflict,
+                            ``429`` throttled (with ``Retry-After``),
+                            ``503`` draining
+``GET  /jobs/<id>``         one job record
 ``GET  /jobs/<id>/result``  the result summary; ``409`` while the job
                             is still pending/running
 ``POST /jobs/<id>/cancel``  cancel: queued dies now, running drains at
                             the next shard boundary
-``POST /drain``             stop accepting work, finish running jobs,
-                            then exit the serve loop (operators only
-                            when a tenants file is configured)
+``POST /drain``             stop accepting work, finish the running
+                            job, then exit the serve loop
 ==========================  ============================================
 
-Authentication: with a tenants file configured, **every** route —
-including ``/healthz`` — requires ``Authorization: Bearer <token>``;
-unknown or missing tokens get ``401``.  Without a tenants file the
-service is open and every caller is the anonymous default tenant.
-
-Idempotency: ``POST /jobs`` honours an ``Idempotency-Key`` header.  The
-same tenant resubmitting the same key with the same spec gets the
-existing job back with ``200``; the same key with a *different* spec is
-a ``409`` — a retried submit can never double-enqueue.
-
-Auditing: every request (including failed authentication) appends one
-line to the daemon's audit log via the single ``_reply`` choke point.
+Idempotency: ``POST /jobs`` honours an ``Idempotency-Key`` header.
+Resubmitting the same key with the same spec gets the existing job back
+with ``200``; the same key with a *different* spec is a ``409`` — a
+retried submit can never double-enqueue.
 
 The handler is deliberately thin: every decision lives on the daemon
 object, so tests can drive the same logic without a socket.
@@ -50,7 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from ..harness import faultrig
-from .tenants import ANONYMOUS_TENANT, AdmissionDenied
+from .daemon import IdempotencyConflict
 
 __all__ = ["make_handler", "make_server"]
 
@@ -65,11 +54,6 @@ def make_handler(daemon):
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-campaignd/1"
         protocol_version = "HTTP/1.1"
-
-        #: Tenant id of the authenticated caller for the request being
-        #: handled; ``None`` until authentication runs (audit records
-        #: failed auth attempts with a null tenant).
-        _tenant: Optional[str] = None
 
         # -- plumbing --------------------------------------------------------
 
@@ -88,9 +72,6 @@ def make_handler(daemon):
                                  str(max(1, math.ceil(retry_after_s))))
             self.end_headers()
             self.wfile.write(body)
-            job_id = payload.get("id") if isinstance(payload, dict) else None
-            daemon.audit.record(self._tenant, self.command, self.path,
-                                code, job_id=job_id)
 
         def _error(self, code: int, message: str,
                    retry_after_s: Optional[float] = None) -> None:
@@ -102,6 +83,10 @@ def make_handler(daemon):
                 length = int(self.headers.get("Content-Length") or 0)
             except ValueError:
                 self._error(400, "bad Content-Length")
+                return None
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up.
+                self._error(400, "negative Content-Length")
                 return None
             if length > MAX_BODY_BYTES:
                 self._error(413, "request body too large")
@@ -124,53 +109,25 @@ def make_handler(daemon):
                 return parts[1], parts[2] if len(parts) > 2 else None
             return None, None
 
-        # -- admission -------------------------------------------------------
-
-        def _authenticate(self) -> bool:
-            """Resolve the caller's tenant; False means 401 was sent."""
-            self._tenant = None
+        @staticmethod
+        def _slow_client_fault() -> None:
             fired = faultrig.should_fire("slow-client")
             if fired is not None:
                 # Chaos mode: pin this handler thread the way a stalled
                 # client would; the threaded server must keep serving.
                 time.sleep(fired[2] if fired[2] is not None else 2.0)
-            if not daemon.admission.enabled:
-                self._tenant = ANONYMOUS_TENANT
-                return True
-            header = self.headers.get("Authorization") or ""
-            token = header[7:].strip() \
-                if header.startswith("Bearer ") else None
-            config = daemon.registry.authenticate(token)
-            if config is None:
-                self._error(401, "missing or invalid bearer token")
-                return False
-            self._tenant = config.id
-            return True
-
-        def _is_operator(self) -> bool:
-            if not daemon.admission.enabled:
-                return True
-            config = daemon.registry.get(self._tenant)
-            return config is not None and config.operator
-
-        def _owns_or_operator(self, job: dict) -> bool:
-            if not daemon.admission.enabled or self._is_operator():
-                return True
-            return job.get("tenant") == self._tenant
 
         # -- verbs -----------------------------------------------------------
 
         def do_GET(self) -> None:  # noqa: N802
-            if not self._authenticate():
-                return
+            self._slow_client_fault()
             try:
                 self._get()
             except Exception as exc:  # noqa: BLE001 - never kill the server
                 self._error(500, f"{type(exc).__name__}: {exc}")
 
         def do_POST(self) -> None:  # noqa: N802
-            if not self._authenticate():
-                return
+            self._slow_client_fault()
             try:
                 self._post()
             except Exception as exc:  # noqa: BLE001 - never kill the server
@@ -181,8 +138,7 @@ def make_handler(daemon):
                 self._reply(200, daemon.health())
                 return
             if self.path == "/jobs":
-                tenant = None if self._is_operator() else self._tenant
-                self._reply(200, {"jobs": daemon.list_jobs(tenant)})
+                self._reply(200, {"jobs": daemon.list_jobs()})
                 return
             job_id, verb = self._job_route()
             if job_id is not None and verb is None:
@@ -190,20 +146,12 @@ def make_handler(daemon):
                 if job is None:
                     self._error(404, f"no such job {job_id!r}")
                     return
-                if not self._owns_or_operator(job):
-                    self._error(403, f"job {job_id!r} belongs to "
-                                     f"another tenant")
-                    return
                 self._reply(200, job)
                 return
             if job_id is not None and verb == "result":
                 job = daemon.job_status(job_id)
                 if job is None:
                     self._error(404, f"no such job {job_id!r}")
-                    return
-                if not self._owns_or_operator(job):
-                    self._error(403, f"job {job_id!r} belongs to "
-                                     f"another tenant")
                     return
                 if job.get("result") is None:
                     self._error(
@@ -231,11 +179,9 @@ def make_handler(daemon):
                     return
                 key = self.headers.get("Idempotency-Key") or None
                 try:
-                    job = daemon.submit(spec, tenant=self._tenant,
-                                        idempotency_key=key)
-                except AdmissionDenied as exc:
-                    self._error(exc.status, exc.message,
-                                retry_after_s=exc.retry_after_s)
+                    job = daemon.submit(spec, idempotency_key=key)
+                except IdempotencyConflict as exc:
+                    self._error(409, str(exc))
                     return
                 except ValueError as exc:
                     self._error(400, str(exc))
@@ -244,24 +190,15 @@ def make_handler(daemon):
                 self._reply(200 if replayed else 201, job)
                 return
             if self.path == "/drain":
-                if not self._is_operator():
-                    self._error(403, "drain is restricted to operator "
-                                     "tenants")
-                    return
                 daemon.drain()
                 self._reply(202, {"status": "draining"})
                 return
             job_id, verb = self._job_route()
             if job_id is not None and verb == "cancel":
-                job = daemon.job_status(job_id)
+                job = daemon.cancel(job_id)
                 if job is None:
                     self._error(404, f"no such job {job_id!r}")
                     return
-                if not self._owns_or_operator(job):
-                    self._error(403, f"job {job_id!r} belongs to "
-                                     f"another tenant")
-                    return
-                job = daemon.cancel(job_id)
                 self._reply(200, job)
                 return
             self._error(404, f"unknown endpoint {self.path!r}")

@@ -3,9 +3,6 @@
 Backs ``python -m repro job ...``; also convenient from tests and
 scripts.  The base URL resolves, in order: explicit argument, the
 ``REPRO_SERVICE_URL`` environment variable, the default local address.
-The bearer token resolves the same way: explicit argument, then
-``REPRO_SERVICE_TOKEN`` (only needed when the daemon runs with a
-tenants file).
 
 Retry semantics — conservative on purpose:
 
@@ -16,7 +13,7 @@ Retry semantics — conservative on purpose:
   submit whose first attempt actually landed returns the *existing* job
   instead of double-enqueueing.
 * ``4xx`` responses never retry: the request itself is wrong (or
-  denied), and repeating it verbatim cannot help.  ``429`` surfaces the
+  throttled), and repeating it verbatim cannot help.  ``429`` surfaces the
   server's ``Retry-After`` on the raised :class:`ServiceError` so the
   *caller* can decide to wait — honouring it automatically would turn
   the client into exactly the polite-looking retry storm rate limiting
@@ -39,7 +36,6 @@ __all__ = ["DEFAULT_URL", "ServiceClient", "ServiceError"]
 
 DEFAULT_URL = f"http://127.0.0.1:{DEFAULT_PORT}"
 URL_ENV = "REPRO_SERVICE_URL"
-TOKEN_ENV = "REPRO_SERVICE_TOKEN"
 
 #: Job statuses that will never progress without outside action.
 TERMINAL_STATUSES = ("done", "failed", "cancelled")
@@ -69,14 +65,11 @@ class ServiceError(Exception):
 class ServiceClient:
     def __init__(self, base_url: Optional[str] = None,
                  timeout_s: float = 10.0,
-                 token: Optional[str] = None,
                  retries: int = RETRIES,
                  backoff_s: float = BACKOFF_S):
         self.base_url = (base_url or os.environ.get(URL_ENV)
                          or DEFAULT_URL).rstrip("/")
         self.timeout_s = timeout_s
-        self.token = token if token is not None \
-            else os.environ.get(TOKEN_ENV)
         self.retries = retries
         self.backoff_s = backoff_s
 
@@ -85,8 +78,6 @@ class ServiceClient:
                       headers: Optional[dict] = None) -> dict:
         data = None
         all_headers = {"Accept": "application/json"}
-        if self.token:
-            all_headers["Authorization"] = f"Bearer {self.token}"
         if headers:
             all_headers.update(headers)
         if payload is not None:

@@ -1,22 +1,17 @@
-"""The campaign-job daemon: a multi-tenant fleet behind a local HTTP API.
+"""The campaign-job daemon: one FIFO of campaigns behind a local HTTP API.
 
-``python -m repro serve`` runs one of these.  It owns four things:
+``python -m repro serve`` runs one of these.  It owns three things:
 
 * a durable :class:`~repro.service.queue.JobQueue` under ``--state-dir``
   (CRC-stamped job records + per-job checkpoint journals; torn records
   are quarantined on reload, never trusted),
-* an admission layer (:mod:`repro.service.tenants`): with a
-  ``--tenants`` file every request must carry a bearer token, and
-  per-tenant rate limits, queued-job quotas, and trial budgets gate the
-  submit path; every request is appended to the audit log,
-* a **concurrent job scheduler** (:mod:`repro.service.scheduler`):
-  up to ``--max-concurrent-jobs`` campaigns run at once, each holding a
-  worker *grant* carved from the global ``--worker-budget`` with
-  weighted-fair, deficit-carrying selection across tenants — and
-  shard-boundary preemption when a tenant would otherwise starve, and
+* a scheduler thread that claims the next job (interrupted jobs first,
+  then FIFO) and runs it to the end before claiming another — one
+  campaign at a time, with ``min(spec.jobs, --worker-budget)`` pool
+  workers, and
 * a :class:`ThreadingHTTPServer` (see :mod:`repro.service.api`) for
   ``submit``/``status``/``result``/``cancel``/``drain`` plus a
-  ``/healthz`` endpoint surfacing queue depth, per-tenant load, live
+  ``/healthz`` endpoint surfacing the current job, queue depth, live
   worker counts against the budget, and watchdog stats.
 
 Robustness contract:
@@ -26,24 +21,20 @@ Robustness contract:
   (``spawn`` where unavailable) instead of inheriting the fork default.
   Pools are kept warm from one job to the next (see
   :mod:`repro.harness.parallel`), so only the first job of a given
-  worker grant pays worker start-up; drain and stop shut the idle pools
+  worker count pays worker start-up; drain and stop shut the idle pools
   down before the daemon exits.
 * **Every job checkpoints.**  Trials stream into
   ``<state_dir>/journals/<job>.jsonl`` as shards complete; cancel,
-  preemption, daemon shutdown, and daemon death all leave a resumable
-  journal.
+  daemon shutdown, and daemon death all leave a resumable journal.
 * **Restart resumes.**  On startup, jobs found ``running`` (daemon
-  died) or ``interrupted`` (daemon stopped, or the job yielded) re-queue
-  ahead of newer work and resume from their journal — the finished
-  result is bit-identical to an uninterrupted run because trial seeds
-  derive from ``(base_seed, index)``.
-* **Preemption is invisible in results.**  A job asked to yield drains
-  at its next shard boundary exactly like a graceful shutdown; only
-  its ``preemptions`` counter betrays that it happened.
-* **Stop is graceful.**  SIGTERM/SIGINT ask every running campaign to
+  died) or ``interrupted`` (daemon stopped) re-queue ahead of newer
+  work and resume from their journal — the finished result is
+  bit-identical to an uninterrupted run because trial seeds derive from
+  ``(base_seed, index)``.
+* **Stop is graceful.**  SIGTERM/SIGINT ask the running campaign to
   stop at the next shard boundary (journaled, marked ``interrupted``),
   then the daemon exits.  ``POST /drain`` instead refuses new work,
-  lets the running jobs *finish*, and exits leaving the rest queued.
+  lets the running job *finish*, and exits leaving the rest queued.
 """
 
 from __future__ import annotations
@@ -60,16 +51,16 @@ from ..harness import faultrig
 from ..harness.fsutil import durable_replace
 from ..harness.parallel import shutdown_pools
 from ..harness.watchdog import WatchdogStats
-from .api import make_server
 from .jobs import JobSpec, result_summary, run_job
 from .queue import Job, JobQueue, TokenBucket
-from .scheduler import JobScheduler, WorkerBudget
-from .tenants import (ANONYMOUS_TENANT, AdmissionController, AdmissionDenied,
-                      AuditLog, TenantRegistry)
 
-__all__ = ["DEFAULT_PORT", "CampaignDaemon"]
+__all__ = ["DEFAULT_PORT", "CampaignDaemon", "IdempotencyConflict"]
 
 DEFAULT_PORT = 8642
+
+
+class IdempotencyConflict(Exception):
+    """A submit reused an idempotency key for a different spec (409)."""
 
 
 def _default_start_method() -> str:
@@ -83,20 +74,8 @@ def _default_worker_budget() -> int:
     return max(4, os.cpu_count() or 1)
 
 
-class _JobRun:
-    """One running job's thread, worker grant, and private stats."""
-
-    __slots__ = ("job", "grant", "stats", "thread")
-
-    def __init__(self, job: Job, grant: int):
-        self.job = job
-        self.grant = grant
-        self.stats = WatchdogStats()
-        self.thread: Optional[threading.Thread] = None
-
-
 class CampaignDaemon:
-    """Queue + scheduler + HTTP front-end; one instance per state dir."""
+    """Queue + scheduler thread + HTTP front-end; one per state dir."""
 
     def __init__(self, state_dir: str,
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
@@ -104,14 +83,13 @@ class CampaignDaemon:
                  start_method: Optional[str] = None,
                  watchdog_poll_s: Optional[float] = None,
                  quiet: bool = False,
-                 tenants_file: Optional[str] = None,
-                 audit_log_path: Optional[str] = None,
-                 worker_budget: Optional[int] = None,
-                 max_concurrent_jobs: int = 2):
+                 worker_budget: Optional[int] = None):
         # Service-layer fault directives (torn-write/enospc/slow-client)
         # fire inside *this* process, so the rig must be loaded here, not
         # just in pool workers.
         faultrig.load_directives()
+        if worker_budget is not None and worker_budget < 1:
+            raise ValueError("worker budget must be >= 1")
         self.queue = JobQueue(state_dir)
         self.host = host
         self.port = port
@@ -121,31 +99,11 @@ class CampaignDaemon:
         self.watchdog_poll_s = watchdog_poll_s
         self.quiet = quiet
         self.started_at = time.time()
-
-        self.registry = (TenantRegistry.load(tenants_file)
-                         if tenants_file else None)
-        self.admission = AdmissionController(self.registry)
-        self.audit = AuditLog(audit_log_path)
-        if self.registry is not None:
-            # Rebuild trial-budget spend from the durable job records so
-            # bouncing the daemon cannot reset a tenant's quota.
-            for tenant_id in self.registry.tenants:
-                spent = self.queue.trials_submitted_for(tenant_id)
-                if spent:
-                    self.admission.charge_trials(tenant_id, spent)
-
-        self.budget = WorkerBudget(worker_budget
-                                   if worker_budget is not None
-                                   else _default_worker_budget())
-        self.scheduler = JobScheduler(
-            self.budget,
-            weight_of=(self.registry.weight if self.registry is not None
-                       else (lambda _t: 1.0)),
-            max_concurrent_jobs=max_concurrent_jobs,
-            tenant_job_cap=self._tenant_job_cap)
+        self.worker_budget = (worker_budget if worker_budget is not None
+                              else _default_worker_budget())
 
         self._lock = threading.Lock()
-        self._runs: Dict[str, _JobRun] = {}
+        self._current: Optional[Job] = None
         self._workers_live = 0
         self._workers_live_peak = 0
         self._draining = threading.Event()
@@ -153,12 +111,6 @@ class CampaignDaemon:
         self._wake = threading.Event()
         self._scheduler_thread = threading.Thread(
             target=self._scheduler_loop, name="campaignd-sched", daemon=True)
-
-    def _tenant_job_cap(self, tenant_id: str) -> int:
-        if self.registry is None:
-            return 1 << 30
-        config = self.registry.get(tenant_id)
-        return config.max_concurrent_jobs if config is not None else 1 << 30
 
     # -- observability -------------------------------------------------------
 
@@ -170,67 +122,48 @@ class CampaignDaemon:
     def draining(self) -> bool:
         return self._draining.is_set()
 
-    def _watchdog_snapshot(self) -> dict:
-        """Fleet totals plus the live counters of running jobs."""
-        snap = self.stats.snapshot()
-        with self._lock:
-            live = [run.stats for run in self._runs.values()]
-        for stats in live:
-            snap["scans"] += stats.scans
-            snap["hang_kills"] += stats.hang_kills
-            snap["rss_kills"] += stats.rss_kills
-        return snap
-
     def health(self) -> dict:
         with self._lock:
-            running = sorted(self._runs)
+            current = self._current.id if self._current else None
             live = self._workers_live
             peak = self._workers_live_peak
         counts = self.queue.counts()
-        budget_total = self.budget.total
-        granted = self.budget.used
         return {
             "status": "draining" if self.draining else "ok",
             "pid": os.getpid(),
             "uptime_s": round(time.time() - self.started_at, 3),
             "state_dir": self.queue.state_dir,
             "start_method": self.start_method,
-            "auth": self.admission.enabled,
-            "current_job": running[0] if running else None,
-            "running_jobs": running,
+            "current_job": current,
             "jobs": counts,
             "queue_depth": counts["queued"] + counts["interrupted"],
-            "tenants": self.queue.tenant_counts(),
             "quarantined_records": len(self.queue.quarantined),
             "workers": {
-                "budget": budget_total,
-                "granted": granted,
+                "budget": self.worker_budget,
                 "live": live,
                 "live_peak": peak,
-                "utilization_pct": round(100.0 * granted / budget_total, 1),
             },
-            "watchdog": self._watchdog_snapshot(),
+            "watchdog": self.stats.snapshot(),
         }
 
     # -- API surface (shared by HTTP handler and direct callers) -------------
 
-    def submit(self, spec_obj: dict, tenant: str = ANONYMOUS_TENANT,
+    def submit(self, spec_obj: dict,
                idempotency_key: Optional[str] = None) -> dict:
-        """Validate, admit, and enqueue a job spec.
+        """Validate and enqueue a job spec.
 
-        Raises ``ValueError`` for an invalid spec and
-        :class:`AdmissionDenied` for a quota/rate/conflict refusal.  With
-        an ``idempotency_key`` the tenant has used before, the existing
-        job is returned (marked ``"replayed": True``) when the spec
-        matches, and a 409 :class:`AdmissionDenied` is raised when it
-        does not — a retried submit can never double-enqueue.
+        Raises ``ValueError`` for an invalid spec.  With an
+        ``idempotency_key`` used before, the existing job is returned
+        (marked ``"replayed": True``) when the spec matches, and
+        :class:`IdempotencyConflict` is raised when it does not — a
+        retried submit can never double-enqueue.
         """
         if self.draining:
             raise ValueError("daemon is draining; not accepting new jobs")
         spec = JobSpec.from_dict(spec_obj)
         spec.validate()
         if idempotency_key:
-            existing = self.queue.find_idempotent(tenant, idempotency_key)
+            existing = self.queue.find_idempotent(idempotency_key)
             if existing is not None:
                 # Compared as specs: a record persisted before a field
                 # was retired still matches a resubmit of the same job.
@@ -238,15 +171,12 @@ class CampaignDaemon:
                     self.log(f"{existing.id}: idempotent replay "
                              f"(key {idempotency_key!r})")
                     return dict(existing.to_dict(), replayed=True)
-                raise AdmissionDenied(
-                    409,
+                raise IdempotencyConflict(
                     f"idempotency key {idempotency_key!r} was already "
                     f"used for a different spec (job {existing.id})")
-        self.admission.check_submit(
-            tenant, spec.trials, self.queue.queued_for(tenant))
-        job = self.queue.submit(spec.to_dict(), tenant=tenant,
+        job = self.queue.submit(spec.to_dict(),
                                 idempotency_key=idempotency_key)
-        self.log(f"{job.id}: queued by {tenant} "
+        self.log(f"{job.id}: queued "
                  f"({spec.benchmark}/{spec.scheduler} x{spec.trials})")
         self._wake.set()
         return job.to_dict()
@@ -255,8 +185,8 @@ class CampaignDaemon:
         job = self.queue.get(job_id)
         return None if job is None else job.to_dict()
 
-    def list_jobs(self, tenant: Optional[str] = None) -> List[dict]:
-        return [job.to_dict() for job in self.queue.list_jobs(tenant)]
+    def list_jobs(self) -> List[dict]:
+        return [job.to_dict() for job in self.queue.list_jobs()]
 
     def cancel(self, job_id: str) -> Optional[dict]:
         job = self.queue.request_cancel(job_id)
@@ -265,15 +195,15 @@ class CampaignDaemon:
         return None if job is None else job.to_dict()
 
     def drain(self) -> None:
-        """Refuse new work; finish the running jobs; then exit serve."""
+        """Refuse new work; finish the running job; then exit serve."""
         if not self._draining.is_set():
-            self.log("drain requested: finishing running jobs, "
+            self.log("drain requested: finishing the running job, "
                      "leaving the rest queued")
         self._draining.set()
         self._wake.set()
 
     def request_shutdown(self) -> None:
-        """Stop now: interrupt running jobs at their next shard."""
+        """Stop now: interrupt the running job at its next shard."""
         self._shutdown.set()
         self._wake.set()
 
@@ -294,86 +224,27 @@ class CampaignDaemon:
         return job.to_dict()
 
     def _scheduler_loop(self) -> None:
-        """Start jobs against the budget until shutdown or drained."""
-        while True:
-            self._reap()
-            if self._shutdown.is_set():
-                return  # serve_forever joins the still-running jobs
-            if self._draining.is_set():
-                with self._lock:
-                    drained = not self._runs
-                if drained:
-                    return  # serve loop notices and exits
-            elif self._start_next():
-                continue  # a start happened; try to pack more in
+        """Run jobs one at a time until shutdown or drain."""
+        while not self._shutdown.is_set() and not self._draining.is_set():
+            job = self.queue.claim_next()
+            if job is not None:
+                self._execute(job)
+                continue
             self._wake.wait(timeout=0.1)
             self._wake.clear()
 
-    def _reap(self) -> None:
+    def _execute(self, job: Job) -> None:
         with self._lock:
-            finished = [job_id for job_id, run in self._runs.items()
-                        if run.thread is not None
-                        and not run.thread.is_alive()]
-            runs = [self._runs.pop(job_id) for job_id in finished]
-        for run in runs:
-            run.thread.join()
-
-    def _start_next(self) -> bool:
-        """Ask the policy for one start (or one preemption); True if a
-        job was actually launched."""
-        with self._lock:
-            running_jobs = [run.job for run in self._runs.values()]
-        runnable = self.queue.runnable()
-        decision = self.scheduler.next_start(runnable, running_jobs)
-        if decision is None:
-            victim = self.scheduler.preemption_target(
-                runnable, running_jobs)
-            if victim is not None:
-                victim.preemptions += 1
-                victim.yield_event.set()
-                self.log(f"{victim.id}: yielding {victim.granted_workers} "
-                         f"worker(s) at the next shard boundary "
-                         f"(fair-share preemption)")
-            return False
-        job, grant = decision
-        if not self.budget.acquire(grant):
-            return False  # lost a race with a concurrent release/acquire
-        job.granted_workers = grant
-        claimed = self.queue.claim(job.id)
-        if claimed is None:
-            self.budget.release(grant)
-            return False
-        run = _JobRun(claimed, grant)
-        run.thread = threading.Thread(
-            target=self._run_job_thread, args=(run,),
-            name=f"campaignd-{claimed.id}", daemon=True)
-        with self._lock:
-            self._runs[claimed.id] = run
-        run.thread.start()
-        return True
-
-    def _run_job_thread(self, run: _JobRun) -> None:
-        try:
-            self._execute(run.job, grant=run.grant, stats=run.stats)
-        finally:
-            self.budget.release(run.grant)
-            self.scheduler.job_stopped(run.job)
-            self._wake.set()
-
-    def _execute(self, job: Job, grant: Optional[int] = None,
-                 stats: Optional[WatchdogStats] = None) -> None:
-        if stats is None:
-            stats = WatchdogStats()
+            self._current = job
         try:
             spec = JobSpec.from_dict(job.spec)
-            # Re-validate: the record may predate a registry change, or
-            # have been written by an older daemon with laxer rules.
+            # Re-validate: the record may have been written by an older
+            # daemon with laxer rules.
             spec.validate()
-            if grant is None:
-                grant = max(1, spec.jobs)
+            workers = min(spec.jobs, self.worker_budget)
             checkpoint = self.queue.journal_path(job.id)
             resume = os.path.exists(checkpoint)
-            self.log(f"{job.id}: running with {grant} worker(s) "
+            self.log(f"{job.id}: running with {workers} worker(s) "
                      f"(attempt {job.attempts}"
                      + (", resuming journal" if resume else "") + ")")
 
@@ -385,15 +256,14 @@ class CampaignDaemon:
                 if now - last_persist[0] > 1.0:
                     last_persist[0] = now
                     self.queue.update(job)
-                if (job.cancel_event.is_set() or self._shutdown.is_set()
-                        or job.yield_event.is_set()):
+                if job.cancel_event.is_set() or self._shutdown.is_set():
                     raise KeyboardInterrupt
 
             result = run_job(
                 spec, checkpoint=checkpoint, resume=resume,
-                progress=on_progress, watchdog_stats=stats,
+                progress=on_progress, watchdog_stats=self.stats,
                 start_method=self.start_method,
-                jobs_override=grant,
+                jobs_override=workers,
                 on_pool_change=self._on_pool_change)
         except ValueError as exc:
             job.status = "failed"
@@ -422,12 +292,9 @@ class CampaignDaemon:
                 job.status = "done"
                 job.finished_at = time.time()
         finally:
-            job.granted_workers = 0
             self.queue.update(job)
-            # Fold this campaign's watchdog counters into fleet totals.
-            self.stats.scans += stats.scans
-            self.stats.hang_kills += stats.hang_kills
-            self.stats.rss_kills += stats.rss_kills
+            with self._lock:
+                self._current = None
             self.log(f"{job.id}: {job.status}"
                      + (f" ({job.error})" if job.error else ""))
 
@@ -435,6 +302,8 @@ class CampaignDaemon:
 
     def serve_forever(self) -> None:
         """Bind, serve, and supervise until shutdown or drain."""
+        from .api import make_server  # the handler imports this module
+
         server = make_server(self, self.host, self.port)
         self.port = server.server_address[1]
         self._write_endpoint_file()
@@ -446,10 +315,7 @@ class CampaignDaemon:
         self.log(f"listening on http://{self.host}:{self.port} "
                  f"(state: {self.queue.state_dir}, "
                  f"start method: {self.start_method}, "
-                 f"worker budget: {self.budget.total}, "
-                 f"max concurrent jobs: "
-                 f"{self.scheduler.max_concurrent_jobs}, "
-                 f"auth: {'on' if self.admission.enabled else 'off'})")
+                 f"worker budget: {self.worker_budget})")
 
         previous = self._install_signal_handlers()
         try:
@@ -460,20 +326,14 @@ class CampaignDaemon:
             self._restore_signal_handlers(previous)
             self._shutdown.set()
             self._wake.set()
-            # Running campaigns (if any) stop at their next shard
-            # boundary via the progress hook; wait for them to journal.
+            # A running campaign stops at its next shard boundary via
+            # the progress hook; wait for it to journal.
             self._scheduler_thread.join()
-            with self._lock:
-                runs = list(self._runs.values())
-            for run in runs:
-                if run.thread is not None:
-                    run.thread.join()
             # Campaign pools outlive their jobs; none may outlive us.
             shutdown_pools()
             server.shutdown()
             server.server_close()
             self._remove_endpoint_file()
-            self.audit.close()
             self.log("stopped")
 
     def _endpoint_path(self) -> str:

@@ -215,13 +215,13 @@ def run_job(spec: JobSpec,
     ``forkserver``/``spawn`` explicitly rather than inheriting the
     fork default.
 
-    ``jobs_override`` is the scheduler's worker *grant*: the daemon may
-    run this campaign with fewer workers than ``spec.jobs`` asked for
-    when the global worker budget is shared across concurrent jobs.
-    Results are unaffected — campaign aggregates are bit-identical for
-    any worker count.  ``on_pool_change`` forwards pool-worker deltas
-    (see :func:`run_campaign_parallel`) so the daemon can meter live
-    workers against its budget.
+    ``jobs_override`` is the daemon's worker count: it runs this
+    campaign with fewer workers than ``spec.jobs`` asked for when its
+    ``--worker-budget`` is smaller.  Results are unaffected — campaign
+    aggregates are bit-identical for any worker count.
+    ``on_pool_change`` forwards pool-worker deltas (see
+    :func:`run_campaign_parallel`) so the daemon can meter live workers
+    against its budget.
     """
     program, scheduler = resolve_factories(spec)
     jobs = spec.jobs if jobs_override is None else jobs_override

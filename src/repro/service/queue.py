@@ -1,4 +1,4 @@
-"""Durable multi-tenant job queue and the submit-path token bucket.
+"""Durable job queue and the submit-path token bucket.
 
 The campaign daemon must survive its own death: every job is a JSON
 file under ``<state_dir>/jobs/`` (written atomically via rename *and*
@@ -21,8 +21,7 @@ Hardening on top of that contract:
   persists (claim, progress, finish) are best-effort — a transient
   ``ENOSPC`` degrades to a warning and a stale-but-valid record, which
   the crash-recovery path already knows how to reconcile.
-* **Jobs carry a tenant and an idempotency key.**  The tenant scopes
-  quotas, fairness, and visibility; the key makes retried submits safe
+* **Jobs carry an idempotency key.**  It makes retried submits safe
   (the daemon returns the existing job instead of double-enqueueing).
 
 :class:`TokenBucket` guards the submit endpoint: campaigns are heavy,
@@ -108,8 +107,6 @@ class Job:
     id: str
     spec: dict
     status: str = "queued"
-    #: Owning tenant; "default" in open (no tenants file) mode.
-    tenant: str = "default"
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -124,18 +121,9 @@ class Job:
     #: Client-supplied submit key: resubmits with the same key return
     #: this job instead of enqueueing a duplicate.
     idempotency_key: Optional[str] = None
-    #: Worker processes granted by the scheduler for the current run.
-    granted_workers: int = 0
-    #: Times the scheduler preempted this job at a shard boundary to
-    #: make room for a starved tenant (each one resumed bit-identically).
-    preemptions: int = 0
     #: In-memory only: set to make the running campaign drain at the
     #: next shard boundary.
     cancel_event: threading.Event = field(
-        default_factory=threading.Event, repr=False, compare=False)
-    #: In-memory only: scheduler preemption request — like cancel, but
-    #: the job re-queues as ``interrupted`` and resumes later.
-    yield_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -143,7 +131,6 @@ class Job:
             "id": self.id,
             "spec": self.spec,
             "status": self.status,
-            "tenant": self.tenant,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
@@ -152,17 +139,17 @@ class Job:
             "progress_trials": self.progress_trials,
             "attempts": self.attempts,
             "idempotency_key": self.idempotency_key,
-            "granted_workers": self.granted_workers,
-            "preemptions": self.preemptions,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Job":
+        """Load a record.  Keys not read here are ignored, so records
+        that still carry ``tenant``, ``granted_workers`` or
+        ``preemptions`` (written while the daemon had tenants) load."""
         return cls(
             id=str(obj["id"]),
             spec=dict(obj["spec"]),
             status=obj.get("status", "queued"),
-            tenant=str(obj.get("tenant", "default")),
             submitted_at=float(obj.get("submitted_at", 0.0)),
             started_at=obj.get("started_at"),
             finished_at=obj.get("finished_at"),
@@ -171,8 +158,6 @@ class Job:
             progress_trials=int(obj.get("progress_trials", 0)),
             attempts=int(obj.get("attempts", 0)),
             idempotency_key=obj.get("idempotency_key"),
-            granted_workers=int(obj.get("granted_workers", 0)),
-            preemptions=int(obj.get("preemptions", 0)),
         )
 
 
@@ -280,15 +265,16 @@ class JobQueue:
 
     # -- queue operations ----------------------------------------------------
 
-    def submit(self, spec: dict, tenant: str = "default",
+    def submit(self, spec: dict,
                idempotency_key: Optional[str] = None) -> Job:
         with self._lock:
             job_id = f"job-{self._next_serial:06d}"
-            self._next_serial += 1
-            job = Job(id=job_id, spec=spec, tenant=tenant,
-                      submitted_at=time.time(),
+            job = Job(id=job_id, spec=spec, submitted_at=time.time(),
                       idempotency_key=idempotency_key)
             self._persist(job)  # required: the client is promised 201
+            # Only a durable job takes its serial: a failed persist
+            # leaves no gap in the ids.
+            self._next_serial += 1
             self._jobs[job_id] = job
             return job
 
@@ -296,50 +282,34 @@ class JobQueue:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def find_idempotent(self, tenant: str, key: str) -> Optional[Job]:
-        """The tenant's existing job submitted under ``key``, if any."""
+    def find_idempotent(self, key: str) -> Optional[Job]:
+        """The existing job submitted under ``key``, if any."""
         with self._lock:
             for job in self._jobs.values():
-                if job.tenant == tenant and job.idempotency_key == key:
+                if job.idempotency_key == key:
                     return job
             return None
 
-    def list_jobs(self, tenant: Optional[str] = None) -> List[Job]:
+    def list_jobs(self) -> List[Job]:
         with self._lock:
-            jobs = [j for j in self._jobs.values()
-                    if tenant is None or j.tenant == tenant]
-            return sorted(jobs, key=lambda j: j.id)
+            return sorted(self._jobs.values(), key=lambda j: j.id)
 
-    def runnable(self) -> List[Job]:
-        """Claimable jobs: interrupted first (they predate the restart
-        and hold journal state), then queued, FIFO within each."""
+    def claim_next(self) -> Optional[Job]:
+        """Pop the next runnable job: interrupted jobs first (they
+        predate the restart and hold journal state), then queued, FIFO
+        within each."""
         with self._lock:
             candidates = [j for j in self._jobs.values()
                           if j.status in ("queued", "interrupted")]
-            candidates.sort(
-                key=lambda j: (j.status != "interrupted", j.id))
-            return candidates
-
-    def claim(self, job_id: str) -> Optional[Job]:
-        """Transition one specific runnable job to ``running``."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.status not in ("queued", "interrupted"):
+            if not candidates:
                 return None
+            job = min(candidates,
+                      key=lambda j: (j.status != "interrupted", j.id))
             job.status = "running"
             job.started_at = time.time()
             job.attempts += 1
-            job.yield_event.clear()
             self._persist(job, required=False)
             return job
-
-    def claim_next(self) -> Optional[Job]:
-        """Pop the next runnable job (FIFO; interrupted jobs first)."""
-        with self._lock:
-            candidates = self.runnable()
-            if not candidates:
-                return None
-            return self.claim(candidates[0].id)
 
     def update(self, job: Job) -> None:
         """Persist a mutated job record (best-effort; see _persist)."""
@@ -366,32 +336,6 @@ class JobQueue:
             for job in self._jobs.values():
                 out[job.status] = out.get(job.status, 0) + 1
             return out
-
-    def tenant_counts(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant queued (incl. interrupted) and running job counts."""
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for job in self._jobs.values():
-                row = out.setdefault(job.tenant, {"queued": 0, "running": 0})
-                if job.status in ("queued", "interrupted"):
-                    row["queued"] += 1
-                elif job.status == "running":
-                    row["running"] += 1
-            return out
-
-    def queued_for(self, tenant: str) -> int:
-        """The tenant's queued+interrupted job count (quota input)."""
-        with self._lock:
-            return sum(1 for j in self._jobs.values()
-                       if j.tenant == tenant
-                       and j.status in ("queued", "interrupted"))
-
-    def trials_submitted_for(self, tenant: str) -> int:
-        """Total trials the tenant ever submitted (budget accounting);
-        rebuilt from durable records so restarts cannot reset spend."""
-        with self._lock:
-            return sum(int(j.spec.get("trials", 0))
-                       for j in self._jobs.values() if j.tenant == tenant)
 
     def has_active(self) -> bool:
         with self._lock:

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core import C11TesterScheduler, NaiveRandomScheduler, SchedulerSpec
 from repro.harness import run_campaign, run_campaign_parallel, run_trial
 from repro.harness.campaign import ERROR_SAMPLE_LIMIT, summarize_exception
 from repro.harness.cli import main as cli_main
+from repro.harness import parallel
 from repro.harness.parallel import _pool_context
 from repro.litmus import store_buffering
 from repro.memory.events import RLX
@@ -301,6 +303,60 @@ class TestWorkerRecovery:
                 parallel.total_events) \
             == (serial.hits, serial.inconclusive, serial.total_steps,
                 serial.total_events)
+
+    def test_pool_breaking_during_submission_is_retried(self, monkeypatch):
+        """A pool whose worker dies while shards are still being
+        submitted (``submit`` itself raises) loses the round like a
+        mid-round break: every shard counts one failure, is retried on a
+        fresh pool, and the aggregates stay bit-identical."""
+        submits = []
+
+        class SubmitBreaksOnce:
+            """Leases fresh pools; the 2nd submit overall raises."""
+
+            def lease(self, ctx, workers):
+                pool = parallel._Pool(("test", workers), ctx, workers)
+                real_submit = pool.executor.submit
+
+                def submit(*args):
+                    submits.append(args)
+                    if len(submits) == 2:
+                        raise BrokenProcessPool("injected at submit")
+                    return real_submit(*args)
+
+                pool.executor.submit = submit
+                return pool
+
+            def release(self, pool):
+                pool.close()
+
+        supervisors = []
+
+        class RecordingSupervisor(parallel._ShardSupervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                supervisors.append(self)
+
+        monkeypatch.setattr(parallel, "_POOLS", SubmitBreaksOnce())
+        monkeypatch.setattr(parallel, "_ShardSupervisor",
+                            RecordingSupervisor)
+        sched = SchedulerSpec("naive")
+        result = run_campaign_parallel(
+            store_buffering, sched, trials=24, base_seed=9, jobs=2,
+            max_retries=3, retry_backoff_s=0.01)
+        serial = run_campaign(store_buffering, sched, trials=24, base_seed=9)
+        assert result.completed == 24
+        assert not result.interrupted
+        assert result.errors == 0
+        assert (result.hits, result.inconclusive, result.total_steps,
+                result.total_events) \
+            == (serial.hits, serial.inconclusive, serial.total_steps,
+                serial.total_events)
+        [supervisor] = supervisors
+        shards = len(supervisor.failures)
+        assert shards > 2
+        assert len(submits) == 2 + shards  # broken round, then a clean one
+        assert set(supervisor.failures.values()) == {1}
 
     def test_pool_context_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")

@@ -9,6 +9,7 @@ death, drain, or cancel always leaves a resumable state directory.
 import json
 import multiprocessing
 import os
+import socket
 import threading
 import time
 import urllib.request
@@ -26,6 +27,7 @@ from repro.service import (
     result_summary,
     run_job,
 )
+from repro.harness.fsutil import stamp_crc
 from repro.service.api import make_server
 from repro.service.queue import JOB_STATUSES
 
@@ -281,12 +283,24 @@ class TestDaemonDirect:
     def test_health_shape(self, tmp_path):
         daemon = CampaignDaemon(str(tmp_path), quiet=True)
         health = daemon.health()
+        assert set(health) == {
+            "status", "pid", "uptime_s", "state_dir", "start_method",
+            "current_job", "jobs", "queue_depth", "quarantined_records",
+            "workers", "watchdog"}
         assert health["status"] == "ok"
         assert health["pid"] == os.getpid()
         assert health["current_job"] is None
+        assert set(health["workers"]) == {"budget", "live", "live_peak"}
         assert "watchdog" in health and "scans" in health["watchdog"]
         daemon.drain()
         assert daemon.health()["status"] == "draining"
+
+    def test_worker_budget_caps_job_workers(self, tmp_path):
+        daemon = CampaignDaemon(str(tmp_path), quiet=True, worker_budget=1)
+        daemon.submit(spec_dict(jobs=2))
+        finished = daemon.process_one()
+        assert finished["status"] == "done"
+        assert finished["result"]["jobs"] == 1
 
 
 class TestRestartRecovery:
@@ -344,6 +358,64 @@ class TestRestartRecovery:
         assert reference["hits"] > 0
         assert sorted(os.listdir(tmp_path / "artifacts")) == \
             sorted(os.listdir(tmp_path / "reference"))
+
+    def test_multi_tenant_record_resumes_and_replays(self, tmp_path):
+        """A record written by the multi-tenant daemon (``tenant``,
+        ``granted_workers``, ``preemptions``), left ``running`` with a
+        partial journal, resumes bit-identically and still answers an
+        idempotent resubmit of its key with 200."""
+        state = tmp_path / "state"
+        (state / "jobs").mkdir(parents=True)
+        (state / "journals").mkdir()
+        spec = JobSpec.from_dict(spec_dict(trials=32)).to_dict()
+        reference = result_summary(run_job(JobSpec.from_dict(spec)))
+
+        def die_after_first_shard(progress):
+            raise KeyboardInterrupt
+
+        partial = run_job(
+            JobSpec.from_dict(spec),
+            checkpoint=str(state / "journals" / "job-000001.jsonl"),
+            progress=die_after_first_shard)
+        assert 0 < partial.completed < 32
+        record = {
+            "id": "job-000001", "spec": spec, "status": "running",
+            "tenant": "alice", "submitted_at": 1.0, "started_at": 2.0,
+            "finished_at": None, "result": None, "error": None,
+            "progress_trials": partial.completed, "attempts": 1,
+            "idempotency_key": "k", "granted_workers": 2,
+            "preemptions": 1,
+        }
+        with open(state / "jobs" / "job-000001.json", "w") as fh:
+            json.dump(stamp_crc(record), fh)
+
+        daemon = CampaignDaemon(str(state), quiet=True,
+                                rate_per_s=1000.0, burst=1000)
+        assert daemon.queue.quarantined == []
+        finished = daemon.process_one()
+        assert finished["id"] == "job-000001"
+        assert finished["status"] == "done"
+        assert finished["attempts"] == 2
+        assert finished["result"]["resumed_trials"] == partial.completed
+        assert bit_key(finished["result"]) == bit_key(reference)
+        assert "tenant" not in finished
+
+        server, thread, url = start_http(daemon)
+        try:
+            request = urllib.request.Request(
+                url + "/jobs", data=json.dumps(spec).encode(),
+                headers={"Content-Type": "application/json",
+                         "Idempotency-Key": "k"}, method="POST")
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                assert resp.status == 200
+                replay = json.loads(resp.read())
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert replay["id"] == "job-000001"
+        assert replay["status"] == "done"
+        assert len(daemon.queue.list_jobs()) == 1
 
     def test_idempotent_resubmit_matches_retired_record_mode(self, tmp_path):
         daemon = CampaignDaemon(str(tmp_path), quiet=True)
@@ -439,6 +511,18 @@ class TestHttpApi:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    def test_negative_content_length_400(self, api):
+        daemon, client = api
+        port = int(client.base_url.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=1.0) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+        assert daemon.queue.list_jobs() == []
 
     def test_draining_503(self, api):
         daemon, client = api

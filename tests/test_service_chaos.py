@@ -1,14 +1,12 @@
-"""Service-layer chaos: concurrent jobs, fairness, and injected faults.
+"""Service-layer chaos: FIFO execution and injected faults.
 
-The campaign daemon's headline claims — live workers never exceed the
-budget, a starved tenant's job starts within one shard boundary, and
-results stay bit-identical through torn journal writes, ENOSPC on a
-persist, worker SIGKILL, and a daemon restart mid-job — are exercised
-here end to end against a real HTTP daemon.
+The campaign daemon's headline claims — jobs run one at a time in
+submission order, and results stay bit-identical through torn journal
+writes, ENOSPC on a persist, worker SIGKILL, and a daemon restart
+mid-job — are exercised here end to end against a real HTTP daemon.
 
 These tests run real multi-process campaigns, so they are the slowest
-in the service suite; the fast policy-level fairness tests live in
-``test_service_admission.py``.
+in the service suite.
 """
 
 import json
@@ -42,20 +40,6 @@ def spec_dict(**overrides):
             "seed": 3, "jobs": 1}
     spec.update(overrides)
     return spec
-
-
-def write_tenants(tmp_path):
-    path = str(tmp_path / "tenants.json")
-    with open(path, "w") as fh:
-        json.dump({"tenants": [
-            {"id": "alice", "token": "alice-token", "rate_per_s": 1000.0,
-             "burst": 1000},
-            {"id": "bob", "token": "bob-token", "rate_per_s": 1000.0,
-             "burst": 1000},
-            {"id": "ops", "token": "ops-token", "rate_per_s": 1000.0,
-             "burst": 1000, "operator": True},
-        ]}, fh)
-    return path
 
 
 def serve(daemon):
@@ -161,6 +145,7 @@ class TestServiceFaults:
             client = ServiceClient(url, timeout_s=10.0, backoff_s=0.05)
             job = client.submit(spec_dict())
             assert job["status"] == "queued"
+            assert job["id"] == "job-000001"  # the failed persist took no id
             assert os.path.exists(f"{tmp_path}/enospc")
             assert len(daemon.queue.list_jobs()) == 1
         finally:
@@ -201,19 +186,19 @@ class TestServiceFaults:
             thread.join(timeout=10)
 
 
-# -- concurrency, fairness, budget --------------------------------------------
+# -- one job at a time ---------------------------------------------------------
 
 
-class TestConcurrentExecution:
-    def test_concurrent_jobs_results_bit_identical(self, tmp_path):
-        spec1 = spec_dict(trials=400, seed=7, jobs=2)
-        spec2 = spec_dict(trials=400, seed=8, jobs=2)
+class TestFifoExecution:
+    def test_back_to_back_jobs_run_fifo_bit_identical(self, tmp_path):
+        spec1 = spec_dict(trials=200, seed=7, jobs=2)
+        spec2 = spec_dict(trials=200, seed=8, jobs=2)
         ref1 = result_summary(run_job(JobSpec.from_dict(spec1)))
         ref2 = result_summary(run_job(JobSpec.from_dict(spec2)))
 
         daemon = CampaignDaemon(str(tmp_path / "state"), port=0,
                                 quiet=True, rate_per_s=1000.0, burst=1000,
-                                worker_budget=4, max_concurrent_jobs=2)
+                                worker_budget=4)
         thread, url = serve(daemon)
         try:
             client = ServiceClient(url, timeout_s=10.0)
@@ -227,60 +212,18 @@ class TestConcurrentExecution:
         assert final2["status"] == "done"
         assert bit_key(final1["result"]) == bit_key(ref1)
         assert bit_key(final2["result"]) == bit_key(ref2)
-
-    def test_starved_tenant_starts_and_budget_is_never_exceeded(
-            self, tmp_path):
-        tenants = write_tenants(tmp_path)
-        daemon = CampaignDaemon(str(tmp_path / "state"), port=0,
-                                quiet=True, rate_per_s=1000.0, burst=1000,
-                                tenants_file=tenants,
-                                worker_budget=2, max_concurrent_jobs=2)
-        thread, url = serve(daemon)
-        try:
-            alice = ServiceClient(url, timeout_s=10.0, token="alice-token")
-            bob = ServiceClient(url, timeout_s=10.0, token="bob-token")
-            ops = ServiceClient(url, timeout_s=10.0, token="ops-token")
-
-            # Alice saturates the whole two-worker budget...
-            job_a = alice.submit(spec_dict(trials=30000, seed=5, jobs=2))
-            deadline = time.monotonic() + 60
-            while ops.health()["workers"]["granted"] < 2:
-                assert time.monotonic() < deadline, \
-                    "alice's job never took the full budget"
-                time.sleep(0.05)
-
-            # ...then Bob shows up and must be running soon: the
-            # scheduler preempts Alice at the next shard boundary.
-            job_b = bob.submit(spec_dict(trials=64, seed=6, jobs=1))
-            saw_bob = False
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                health = ops.health()
-                workers = health["workers"]
-                # The chaos invariant, polled live the whole time.
-                assert workers["live"] <= workers["budget"]
-                assert workers["granted"] <= workers["budget"]
-                if health["tenants"].get("bob", {}).get("running"):
-                    saw_bob = True
-                    break
-                if ops.status(job_b["id"])["status"] == "done":
-                    saw_bob = True
-                    break
-                time.sleep(0.05)
-            assert saw_bob, "bob's job never got workers"
-            assert ops.status(job_a["id"])["preemptions"] >= 1
-        finally:
-            stop(daemon, thread)
+        # The second job waited for the first to finish.
+        assert final2["started_at"] >= final1["finished_at"]
+        assert daemon.health()["workers"]["live_peak"] <= 2
 
 
 # -- the full chaos run --------------------------------------------------------
 
 
 class TestChaosEndToEnd:
-    def test_two_tenant_faulted_restart_bit_identical(
-            self, tmp_path, monkeypatch):
-        spec_a = spec_dict(trials=3000, seed=11, jobs=2)
-        spec_b = spec_dict(trials=1000, seed=22, jobs=2)
+    def test_faulted_restart_bit_identical(self, tmp_path, monkeypatch):
+        spec_a = spec_dict(trials=1500, seed=11, jobs=2)
+        spec_b = spec_dict(trials=500, seed=22, jobs=2)
         # References computed before any fault directive exists.
         ref_a = result_summary(run_job(JobSpec.from_dict(spec_a)))
         ref_b = result_summary(run_job(JobSpec.from_dict(spec_b)))
@@ -292,9 +235,7 @@ class TestChaosEndToEnd:
             f"enospc-once:{sentinels}/enospc",
             f"kill-once:{sentinels}/kill",
         ]))
-        tenants = write_tenants(tmp_path)
         state = str(tmp_path / "state")
-        audit_path = str(tmp_path / "audit.jsonl")
 
         def make_daemon():
             # spawn, not forkserver: the forkserver process was started
@@ -304,29 +245,22 @@ class TestChaosEndToEnd:
             # every worker, so kill-once reliably reaches the pool.
             return CampaignDaemon(state, port=0, quiet=True,
                                   rate_per_s=1000.0, burst=1000,
-                                  start_method="spawn",
-                                  tenants_file=tenants,
-                                  audit_log_path=audit_path,
-                                  worker_budget=2, max_concurrent_jobs=2)
+                                  start_method="spawn", worker_budget=2)
 
         daemon1 = make_daemon()
         thread1, url = serve(daemon1)
-        alice = ServiceClient(url, timeout_s=10.0, token="alice-token",
-                              backoff_s=0.05)
-        bob = ServiceClient(url, timeout_s=10.0, token="bob-token",
-                            backoff_s=0.05)
-        ops = ServiceClient(url, timeout_s=10.0, token="ops-token")
+        client = ServiceClient(url, timeout_s=10.0, backoff_s=0.05)
         try:
             # The first persist hits injected ENOSPC: submit 500s once
             # and the client retries through under its idempotency key.
-            job_a = alice.submit(spec_a)
-            job_b = bob.submit(spec_b)
+            job_a = client.submit(spec_a)
+            job_b = client.submit(spec_b)
             assert os.path.exists(f"{sentinels}/enospc")
-            assert len(ops.list_jobs()) == 2
+            assert len(client.list_jobs()) == 2
 
             # Let real campaign work start, then pull the plug.
             deadline = time.monotonic() + 60
-            while ops.health()["workers"]["live"] < 1:
+            while client.health()["workers"]["live"] < 1:
                 assert time.monotonic() < deadline, \
                     "no campaign workers ever came up"
                 time.sleep(0.05)
@@ -337,22 +271,17 @@ class TestChaosEndToEnd:
         daemon2 = make_daemon()
         thread2, url2 = serve(daemon2)
         try:
-            ops2 = ServiceClient(url2, timeout_s=10.0, token="ops-token")
-            final_a = ops2.wait(job_a["id"], timeout_s=300, poll_s=0.2)
-            final_b = ops2.wait(job_b["id"], timeout_s=300, poll_s=0.2)
+            client2 = ServiceClient(url2, timeout_s=10.0)
+            final_a = client2.wait(job_a["id"], timeout_s=300, poll_s=0.2)
+            final_b = client2.wait(job_b["id"], timeout_s=300, poll_s=0.2)
         finally:
             stop(daemon2, thread2)
 
         assert final_a["status"] == "done"
         assert final_b["status"] == "done"
+        assert final_a["attempts"] == 2  # interrupted, then resumed
         assert bit_key(final_a["result"]) == bit_key(ref_a)
         assert bit_key(final_b["result"]) == bit_key(ref_b)
         # Every injected fault genuinely fired somewhere along the way.
         assert os.path.exists(f"{sentinels}/torn")
         assert os.path.exists(f"{sentinels}/kill")
-        # And the audit trail recorded both tenants' submissions.
-        entries = [json.loads(line) for line in open(audit_path)]
-        submitters = {e["tenant"] for e in entries
-                      if e["method"] == "POST" and e["path"] == "/jobs"
-                      and e["status"] in (200, 201)}
-        assert {"alice", "bob"} <= submitters
