@@ -26,7 +26,6 @@ from .campaign import (
     pct_factory,
     pctwm_factory,
     run_campaign,
-    run_trial,
 )
 from .checkpoint import (
     TrialJournal,
@@ -97,7 +96,6 @@ __all__ = [
     "load_journal",
     "print_progress",
     "run_campaign_parallel",
-    "run_trial",
     "shutdown_pools",
     "line_chart",
     "line_charts",

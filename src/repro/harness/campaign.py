@@ -93,6 +93,39 @@ def sanitize_this_trial(sanitize: str, index: int) -> bool:
     return False
 
 
+@dataclass(frozen=True)
+class TrialConfig:
+    """The settings every trial of one campaign runs under.
+
+    Declared once here; the campaign entry points, the job spec and the
+    pool workers build or pass this object instead of copying its fields.
+    It crosses the process boundary with every shard, so the factories
+    must be picklable (registry specs or module-level callables), and
+    workers compare it by value to decide whether their cached
+    :class:`TrialRunner` still applies.
+    """
+
+    program_factory: ProgramFactory
+    scheduler_factory: SchedulerFactory
+    base_seed: int = 0
+    max_steps: int = 20000
+    #: Per-trial wall-clock budget, checked once per scheduler step.
+    trial_timeout_s: Optional[float] = None
+    #: Consistency auditing: one of :data:`SANITIZE_MODES`.
+    sanitize: str = "off"
+    #: Failing trials write replayable artifacts here when set.
+    artifact_dir: Optional[str] = None
+    spin_threshold: int = 8
+    #: Memory-model backend (``"c11"`` or ``"tso"``).
+    model: str = "c11"
+
+    def __post_init__(self) -> None:
+        if self.sanitize not in SANITIZE_MODES:
+            raise ValueError(
+                f"sanitize must be one of {SANITIZE_MODES}, got "
+                f"{self.sanitize!r}")
+
+
 @dataclass
 class CampaignResult:
     """Aggregate outcome of N randomized test runs."""
@@ -115,8 +148,6 @@ class CampaignResult:
     time_sum_s: float = 0.0
     #: Exact sum of squared per-trial elapsed times (for the RSD).
     time_sq_sum_s: float = 0.0
-    #: Per-run application-defined operation counts (Silo throughput).
-    operations: int = 0
     #: Worker processes used (1 = serial execution).
     jobs: int = 1
     #: Wall time of each shard, in shard (= trial) order; empty when
@@ -193,12 +224,6 @@ class CampaignResult:
             return 0.0
         return 100.0 * math.sqrt(variance) / mean
 
-    @property
-    def ops_per_second(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.operations / self.elapsed_s
-
     def __str__(self) -> str:  # pragma: no cover - reporting aid
         text = (
             f"{self.program} / {self.scheduler}: "
@@ -226,7 +251,6 @@ class TrialRecord:
     steps: int
     k: int
     elapsed_s: float
-    operations: int = 0
     #: True when the trial exhausted its wall-clock budget.
     timed_out: bool = False
     #: ``"ExcType: message @ file:line"`` when the trial raised instead of
@@ -265,7 +289,6 @@ class CampaignAccumulator:
         self.inconclusive = 0
         self.total_steps = 0
         self.total_events = 0
-        self.operations = 0
         self.errors = 0
         self.timeouts = 0
         self.inconsistent = 0
@@ -318,7 +341,6 @@ class CampaignAccumulator:
             self.timeouts += 1
         self.total_steps += record.steps
         self.total_events += record.k
-        self.operations += record.operations
 
     def finalize(self, result: CampaignResult) -> None:
         """Materialize the aggregate into ``result`` (idempotent)."""
@@ -327,7 +349,6 @@ class CampaignAccumulator:
         result.inconclusive = self.inconclusive
         result.total_steps = self.total_steps
         result.total_events = self.total_events
-        result.operations = self.operations
         result.errors = self.errors
         result.timeouts = self.timeouts
         result.inconsistent = self.inconsistent
@@ -390,37 +411,16 @@ class TrialRunner:
       randomness, so outcomes do not depend on it.
 
     Every reuse lever is seed-for-seed neutral: a runner's records match
-    :func:`run_trial` outcomes field for field (timings aside).
+    those of a fresh runner, field for field (timings aside).
     """
 
-    def __init__(self, program_factory: ProgramFactory,
-                 scheduler_factory: SchedulerFactory,
-                 base_seed: int, max_steps: int = 20000,
-                 count_operations: Optional[
-                     Callable[[RunResult], int]] = None,
-                 trial_timeout_s: Optional[float] = None,
-                 sanitize: str = "off",
-                 artifact_dir: Optional[str] = None,
-                 spin_threshold: int = 8,
-                 model: str = "c11"):
-        if sanitize not in SANITIZE_MODES:
-            raise ValueError(
-                f"sanitize must be one of {SANITIZE_MODES}, got {sanitize!r}")
-        self.model = model
-        self._model = resolve_model(model)
-        self.program_factory = program_factory
-        self.scheduler_factory = scheduler_factory
-        self.base_seed = base_seed
-        self.max_steps = max_steps
-        self.count_operations = count_operations
-        self.trial_timeout_s = trial_timeout_s
-        self.sanitize = sanitize
-        self.artifact_dir = artifact_dir
-        self.spin_threshold = spin_threshold
+    def __init__(self, config: TrialConfig):
+        self.config = config
+        self._model = resolve_model(config.model)
         self._reuse_scheduler = bool(
-            getattr(scheduler_factory, "supports_reuse", False))
+            getattr(config.scheduler_factory, "supports_reuse", False))
         self._reuse_program = bool(
-            getattr(program_factory, "supports_reuse", False))
+            getattr(config.program_factory, "supports_reuse", False))
         self._scheduler: Optional[Scheduler] = None
         self._program: Optional[Program] = None
         self._state: Optional[ExecutionState] = None
@@ -429,29 +429,32 @@ class TrialRunner:
     # -- warm components -----------------------------------------------------
 
     def _checkout_scheduler(self, trial_seed: int) -> Scheduler:
+        factory = self.config.scheduler_factory
         if not self._reuse_scheduler:
-            return self.scheduler_factory(trial_seed)
+            return factory(trial_seed)
         if self._scheduler is None:
-            self._scheduler = self.scheduler_factory(trial_seed)
+            self._scheduler = factory(trial_seed)
         else:
             self._scheduler.reseed(trial_seed)
         return self._scheduler
 
     def _checkout_program(self) -> Program:
         if not self._reuse_program:
-            return self.program_factory()
+            return self.config.program_factory()
         if self._program is None:
-            self._program = self.program_factory()
+            self._program = self.config.program_factory()
         return self._program
 
     def _execute(self, program: Program, scheduler: Scheduler,
                  sanitize_run: bool, trace: Optional[Trace]) -> RunResult:
+        config = self.config
         executor = self._executor
         if executor is None or executor.program is not program:
             executor = self._executor = self._model.make_executor(
-                program, scheduler, max_steps=self.max_steps,
-                spin_threshold=self.spin_threshold, keep_graph=False,
-                wall_timeout_s=self.trial_timeout_s, sanitize=sanitize_run,
+                program, scheduler, max_steps=config.max_steps,
+                spin_threshold=config.spin_threshold, keep_graph=False,
+                wall_timeout_s=config.trial_timeout_s,
+                sanitize=sanitize_run,
             )
         else:
             executor.scheduler = scheduler
@@ -460,7 +463,7 @@ class TrialRunner:
         state = self._state
         if state is None or state.program is not program:
             state = self._state = self._model.make_state(
-                program, self.spin_threshold, fast=True)
+                program, config.spin_threshold, fast=True)
         else:
             state.reset(program)
         if trace is not None:
@@ -475,24 +478,37 @@ class TrialRunner:
         """Run campaign trial ``index`` — the unit shared by serial and
         parallel campaigns, so both execute bit-identical work.
 
-        Fault containment, sanitizer sampling, and artifact policy are
-        those of :func:`run_trial` (which delegates here).
+        Faults are *contained*: any exception escaping the workload, the
+        scheduler, or the engine (``ReproError``,
+        ``ProgramDefinitionError``, arbitrary workload crashes) becomes a
+        :class:`TrialRecord` with ``error`` set instead of aborting the
+        campaign.  ``KeyboardInterrupt`` and ``SystemExit`` still
+        propagate — interrupting a campaign is an operator action, not a
+        trial fault.
+
+        With ``sanitize`` on (``"all"``, or ``"sampled"`` for every
+        :data:`SANITIZE_SAMPLE_STRIDE`-th trial) the run additionally
+        audits its execution graph against the C11 consistency axioms;
+        violations mark the record ``inconsistent`` without aborting
+        anything.  With ``artifact_dir`` set, any
+        bug/error/timeout/inconsistent outcome is serialized as a
+        replayable JSON artifact in that directory (written here, in the
+        worker, so it survives the process boundary), its decision trace
+        logged while the trial ran.
         """
-        trial_seed = derive_trial_seed(self.base_seed, index)
-        sanitize_run = sanitize_this_trial(self.sanitize, index)
+        config = self.config
+        trial_seed = derive_trial_seed(config.base_seed, index)
+        sanitize_run = sanitize_this_trial(config.sanitize, index)
         trace: Optional[Trace] = None
         run: Optional[RunResult] = None
         error: Optional[str] = None
-        operations = 0
         t0 = time.perf_counter()
         try:
             scheduler = self._checkout_scheduler(trial_seed)
-            if self.artifact_dir is not None:
+            if config.artifact_dir is not None:
                 trace = Trace(scheduler=scheduler.name)
             run = self._execute(self._checkout_program(), scheduler,
                                 sanitize_run, trace)
-            operations = self.count_operations(run) \
-                if self.count_operations else 0
         except Exception as exc:
             error = summarize_exception(exc)
             run = None
@@ -515,12 +531,11 @@ class TrialRunner:
                 steps=run.steps,
                 k=run.k,
                 elapsed_s=elapsed,
-                operations=operations,
                 timed_out=run.timed_out,
                 inconsistent=run.inconsistent,
                 violations=list(run.violations),
             )
-        if self.artifact_dir is not None:
+        if config.artifact_dir is not None:
             record.artifact = self._emit_artifact(
                 index, trial_seed, trace, run, error)
         return record
@@ -536,19 +551,38 @@ class TrialRunner:
         unwritable directory must not fail the trial.  A trial whose
         scheduler could not even be built has no trace and no artifact.
         """
-        from .artifact import classify_outcome
+        from .artifact import (BugArtifact, artifact_path, classify_outcome,
+                               program_spec_dict, scheduler_spec_dict)
 
-        if trace is None or classify_outcome(run, error) is None:
+        outcome = classify_outcome(run, error)
+        if trace is None or outcome is None:
             return None
         trace = self._record_failure(trace, trial_seed)
+        config = self.config
         try:
-            return _write_artifact(
-                self.artifact_dir, self.program_factory,
-                self.scheduler_factory, trace, run, error,
-                base_seed=self.base_seed, index=index,
-                trial_seed=trial_seed, max_steps=self.max_steps,
-                spin_threshold=self.spin_threshold, model=self.model,
+            artifact = BugArtifact(
+                outcome=outcome,
+                program=trace.program
+                or getattr(config.program_factory, "name", ""),
+                scheduler=trace.scheduler,
+                trial_index=index,
+                trial_seed=trial_seed,
+                base_seed=config.base_seed,
+                max_steps=config.max_steps,
+                spin_threshold=config.spin_threshold,
+                model=config.model,
+                trace=trace,
+                steps=run.steps if run is not None else 0,
+                bug_kind=run.bug_kind if run is not None else None,
+                bug_message=run.bug_message if run is not None else None,
+                error=error,
+                violations=list(run.violations) if run is not None else [],
+                diagnostics=run.diagnostics if run is not None else None,
+                program_spec=program_spec_dict(config.program_factory),
+                scheduler_spec=scheduler_spec_dict(config.scheduler_factory),
             )
+            os.makedirs(config.artifact_dir, exist_ok=True)
+            return artifact.save(artifact_path(config.artifact_dir, index))
         except Exception as exc:  # pragma: no cover - defensive
             print(f"warning: trial {index}: could not write artifact: "
                   f"{summarize_exception(exc)}", file=sys.stderr)
@@ -562,103 +596,11 @@ class TrialRunner:
         decision that raised.  Only the replay settings remain to stamp.
         """
         trace.seed = trial_seed
-        trace.spin_threshold = self.spin_threshold
+        trace.spin_threshold = self.config.spin_threshold
         return trace
 
 
-def run_trial(program_factory: ProgramFactory,
-              scheduler_factory: SchedulerFactory,
-              base_seed: int, index: int, max_steps: int = 20000,
-              count_operations: Optional[Callable[[RunResult], int]] = None,
-              trial_timeout_s: Optional[float] = None,
-              sanitize: str = "off",
-              artifact_dir: Optional[str] = None,
-              spin_threshold: int = 8,
-              model: str = "c11",
-              ) -> TrialRecord:
-    """Run a single campaign trial with a throwaway :class:`TrialRunner`.
-
-    Faults are *contained*: any exception escaping the workload, the
-    scheduler, or the engine (``ReproError``, ``ProgramDefinitionError``,
-    arbitrary workload crashes) becomes a :class:`TrialRecord` with
-    ``error`` set instead of aborting the campaign.  ``KeyboardInterrupt``
-    and ``SystemExit`` still propagate — interrupting a campaign is an
-    operator action, not a trial fault.
-
-    With ``sanitize`` on (``"all"``, or ``"sampled"`` for every
-    :data:`SANITIZE_SAMPLE_STRIDE`-th trial) the run additionally audits
-    its execution graph against the C11 consistency axioms; violations
-    mark the record ``inconsistent`` without aborting anything.  With
-    ``artifact_dir`` set, any bug/error/timeout/inconsistent outcome is
-    serialized as a replayable JSON artifact in that directory (written
-    here, in the worker, so it survives the process boundary), its
-    decision trace logged while the trial ran.
-    """
-    return TrialRunner(
-        program_factory, scheduler_factory, base_seed,
-        max_steps=max_steps, count_operations=count_operations,
-        trial_timeout_s=trial_timeout_s, sanitize=sanitize,
-        artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        model=model,
-    ).run(index)
-
-
-def _write_artifact(artifact_dir: str, program_factory: ProgramFactory,
-                    scheduler_factory: SchedulerFactory,
-                    trace: Trace, run: Optional[RunResult],
-                    error: Optional[str], *, base_seed: int, index: int,
-                    trial_seed: int, max_steps: int,
-                    spin_threshold: int, model: str = "c11") -> Optional[str]:
-    """Serialize a failed trial as a replayable artifact; None if clean."""
-    from .artifact import (BugArtifact, artifact_path, classify_outcome,
-                           program_spec_dict, scheduler_spec_dict)
-
-    outcome = classify_outcome(run, error)
-    if outcome is None:
-        return None
-    artifact = BugArtifact(
-        outcome=outcome,
-        program=trace.program or getattr(program_factory, "name", ""),
-        scheduler=trace.scheduler,
-        trial_index=index,
-        trial_seed=trial_seed,
-        base_seed=base_seed,
-        max_steps=max_steps,
-        spin_threshold=spin_threshold,
-        model=model,
-        trace=trace,
-        steps=run.steps if run is not None else 0,
-        bug_kind=run.bug_kind if run is not None else None,
-        bug_message=run.bug_message if run is not None else None,
-        error=error,
-        violations=list(run.violations) if run is not None else [],
-        diagnostics=run.diagnostics if run is not None else None,
-        program_spec=program_spec_dict(program_factory),
-        scheduler_spec=scheduler_spec_dict(scheduler_factory),
-    )
-    os.makedirs(artifact_dir, exist_ok=True)
-    return artifact.save(artifact_path(artifact_dir, index))
-
-
-def fold_trial(result: CampaignResult, record: TrialRecord) -> None:
-    """Accumulate one trial into the campaign aggregate.
-
-    Compatibility wrapper over :class:`CampaignAccumulator`: the
-    accumulator rides along on the result object and the aggregate
-    fields are re-finalized after every fold, so incremental callers
-    observe up-to-date totals.  Hot paths fold into an accumulator
-    directly and finalize once.
-    """
-    acc = getattr(result, "_accumulator", None)
-    if acc is None:
-        acc = result._accumulator = CampaignAccumulator()
-    acc.add(record)
-    acc.finalize(result)
-
-
-def resolve_campaign_names(program_factory: ProgramFactory,
-                           scheduler_factory: SchedulerFactory,
-                           base_seed: int,
+def resolve_campaign_names(config: TrialConfig,
                            scheduler_name: Optional[str]) -> tuple:
     """The (program, scheduler) display names for a campaign result.
 
@@ -668,12 +610,14 @@ def resolve_campaign_names(program_factory: ProgramFactory,
     workload to report it as errors), falling back to the factory's own
     name.
     """
+    program_factory = config.program_factory
+    scheduler_factory = config.scheduler_factory
     if scheduler_name is None:
         scheduler_name = getattr(scheduler_factory, "scheduler_name", None)
     if scheduler_name is None:
         try:
             scheduler_name = scheduler_factory(
-                derive_trial_seed(base_seed, 0)).name
+                derive_trial_seed(config.base_seed, 0)).name
         except Exception:
             scheduler_name = getattr(scheduler_factory, "__name__",
                                      "<scheduler>")
@@ -688,27 +632,27 @@ def resolve_campaign_names(program_factory: ProgramFactory,
 def run_campaign(program_factory: ProgramFactory,
                  scheduler_factory: SchedulerFactory,
                  trials: int = 100,
-                 base_seed: int = 0,
-                 max_steps: int = 20000,
+                 base_seed: int = TrialConfig.base_seed,
+                 max_steps: int = TrialConfig.max_steps,
                  scheduler_name: Optional[str] = None,
-                 count_operations: Optional[Callable[[RunResult], int]] = None,
                  trial_timeout_s: Optional[float] = None,
-                 sanitize: str = "off",
+                 sanitize: str = TrialConfig.sanitize,
                  artifact_dir: Optional[str] = None,
-                 spin_threshold: int = 8,
-                 model: str = "c11",
+                 spin_threshold: int = TrialConfig.spin_threshold,
+                 model: str = TrialConfig.model,
                  ) -> CampaignResult:
     """Run ``trials`` independent randomized tests and aggregate.
 
-    Trials that raise are contained as ``errors``; trials that exhaust
+    The keyword settings are those of :class:`TrialConfig`.  Trials that
+    raise are contained as ``errors``; trials that exhaust
     ``trial_timeout_s`` of wall clock are contained as ``timeouts`` —
-    neither aborts the campaign (see :func:`run_trial`).  ``sanitize``
-    audits trial graphs against the consistency axioms (``"sampled"``:
-    every :data:`SANITIZE_SAMPLE_STRIDE`-th trial; ``"all"``: every
-    trial); ``artifact_dir`` makes failing trials emit replayable bug
-    artifacts there.  ``model`` selects the memory-model backend every trial
-    executes under (``"c11"`` default, ``"tso"``); artifacts record it
-    so replay picks the same backend.
+    neither aborts the campaign (see :meth:`TrialRunner.run`).
+    ``sanitize`` audits trial graphs against the consistency axioms
+    (``"sampled"``: every :data:`SANITIZE_SAMPLE_STRIDE`-th trial;
+    ``"all"``: every trial); ``artifact_dir`` makes failing trials emit
+    replayable bug artifacts there.  ``model`` selects the memory-model
+    backend every trial executes under (``"c11"`` default, ``"tso"``);
+    artifacts record it so replay picks the same backend.
 
     Trials execute on one warm :class:`TrialRunner` with the cyclic
     garbage collector paused (collected every
@@ -718,20 +662,18 @@ def run_campaign(program_factory: ProgramFactory,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    program_name, sched_name = resolve_campaign_names(
-        program_factory, scheduler_factory, base_seed, scheduler_name)
+    config = TrialConfig(
+        program_factory, scheduler_factory, base_seed=base_seed,
+        max_steps=max_steps, trial_timeout_s=trial_timeout_s,
+        sanitize=sanitize, artifact_dir=artifact_dir,
+        spin_threshold=spin_threshold, model=model)
+    program_name, sched_name = resolve_campaign_names(config, scheduler_name)
     result = CampaignResult(
         program=program_name,
         scheduler=sched_name,
         trials=trials,
     )
-    runner = TrialRunner(
-        program_factory, scheduler_factory, base_seed,
-        max_steps=max_steps, count_operations=count_operations,
-        trial_timeout_s=trial_timeout_s, sanitize=sanitize,
-        artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        model=model,
-    )
+    runner = TrialRunner(config)
     acc = CampaignAccumulator()
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

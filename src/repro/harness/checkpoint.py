@@ -78,9 +78,10 @@ def _record_to_obj(record: TrialRecord) -> dict:
 
 
 def _record_from_obj(obj: dict) -> TrialRecord:
+    """Rebuild a record, picking its keys by name: keys it does not know,
+    like the ``operations`` count older journals carry, are ignored."""
     fields = {k: obj[k] for k in ("index", "bug_found", "limit_exceeded",
                                   "steps", "k", "elapsed_s")}
-    fields["operations"] = obj.get("operations", 0)
     fields["timed_out"] = obj.get("timed_out", False)
     fields["error"] = obj.get("error")
     fields["inconsistent"] = obj.get("inconsistent", False)
@@ -125,6 +126,15 @@ def load_journal(path: str) -> Tuple[Optional[dict],
     return header, records
 
 
+def _ends_mid_line(path: str) -> bool:
+    """Whether a non-empty file's last byte is not a newline."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return False
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
 def check_compatible(header: dict, meta: dict) -> None:
     """Reject resuming a journal written for a different campaign."""
     mismatches = [
@@ -154,6 +164,9 @@ class TrialJournal:
     def __init__(self, path: str):
         self.path = path
         self._fh: Optional[IO[str]] = None
+        #: Whether the file ends mid-line (a torn append); the next write
+        #: then starts a new line instead of gluing onto the torn tail.
+        self._torn_tail = False
 
     def start(self, meta: dict, resume: bool = False,
               ) -> Dict[int, TrialRecord]:
@@ -172,6 +185,7 @@ class TrialJournal:
                 check_compatible(header, meta)
         existed = os.path.exists(self.path)
         mode = "a" if resume and existed else "w"
+        self._torn_tail = mode == "a" and _ends_mid_line(self.path)
         self._fh = open(self.path, mode)
         if not existed:
             # A freshly created journal only durably *exists* once its
@@ -220,7 +234,7 @@ class TrialJournal:
             # crash or ENOSPC mid-append leaves behind.  The CRC stamps
             # make the tear detectable and resume re-runs those trials.
             payload = payload[:max(1, len(payload) // 2)]
-        self._fh.write(payload)
+        self._write(payload)
         self._sync()
 
     def close(self) -> None:
@@ -235,8 +249,14 @@ class TrialJournal:
         self.close()
 
     def _write_line(self, obj: dict) -> None:
+        self._write(json.dumps(stamp_crc(obj), sort_keys=True) + "\n")
+
+    def _write(self, text: str) -> None:
         assert self._fh is not None
-        self._fh.write(json.dumps(stamp_crc(obj), sort_keys=True) + "\n")
+        if self._torn_tail:
+            text = "\n" + text
+        self._fh.write(text)
+        self._torn_tail = not text.endswith("\n")
 
     def _sync(self) -> None:
         assert self._fh is not None

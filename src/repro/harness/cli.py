@@ -31,8 +31,11 @@ and the campaign service (see repro.service):
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 from typing import List, Optional
 
+from ..memory.model import available_models
+from .campaign import SANITIZE_MODES
 from .figures import figure5, figure6, render_figure5, render_figure6
 from .tables import (
     render_table1,
@@ -99,16 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--model", default="c11",
-                         choices=("c11", "tso"),
+    def add_model(cmd: argparse.ArgumentParser, default="c11") -> None:
+        cmd.add_argument("--model", default=default,
+                         choices=available_models(),
                          help="memory-model backend to execute under "
                               "(default: the C11 axiomatic engine; 'tso' "
                               "runs the x86-TSO store-buffer backend)")
 
-    def add_sanitize(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--sanitize", default="off",
-                         choices=("off", "sampled", "all"),
+    def add_sanitize(cmd: argparse.ArgumentParser, default="off") -> None:
+        cmd.add_argument("--sanitize", default=default,
+                         choices=SANITIZE_MODES,
                          help="audit execution graphs against the C11 "
                               "consistency axioms (sampled = every 10th "
                               "trial); violations are reported as "
@@ -116,35 +119,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_campaign_flags(cmd: argparse.ArgumentParser) -> None:
         """The :class:`repro.service.jobs.JobSpec` flags shared by
-        ``campaign`` and ``job submit``."""
+        ``campaign`` and ``job submit``.  Each flag's dest is the field it
+        sets, and a flag left out sets nothing, so the spec's own field
+        defaults apply."""
+        unset = argparse.SUPPRESS
         cmd.add_argument("benchmark")
-        cmd.add_argument("--scheduler", default="pctwm")
-        cmd.add_argument("--trials", type=_positive_int, default=100)
-        cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-        cmd.add_argument("--jobs", type=_positive_int, default=1)
-        cmd.add_argument("--depth", type=int, default=None)
-        cmd.add_argument("--history", type=int, default=None)
-        cmd.add_argument("--max-steps", type=_positive_int, default=20000)
+        cmd.add_argument("--scheduler", default=unset)
+        cmd.add_argument("--trials", type=_positive_int, default=unset)
+        cmd.add_argument("--seed", type=_nonnegative_int, default=unset)
+        cmd.add_argument("--jobs", type=_positive_int, default=unset)
+        cmd.add_argument("--depth", type=int, default=unset)
+        cmd.add_argument("--history", type=int, default=unset)
+        cmd.add_argument("--max-steps", type=_positive_int, default=unset)
         cmd.add_argument("--trial-timeout", type=_trial_timeout,
-                         default=None, metavar="SECONDS",
+                         default=unset, dest="trial_timeout_s",
+                         metavar="SECONDS",
                          help="per-trial wall-clock budget; over-budget "
                               "trials are recorded as timeouts, not hangs")
         cmd.add_argument("--hang-timeout", type=_positive_float,
-                         default=None, metavar="SECONDS",
+                         default=unset, dest="hang_timeout_s",
+                         metavar="SECONDS",
                          help="preemptive hang budget: a pool worker "
                               "whose heartbeat stays stale this long is "
                               "hard-killed and its shard retried "
                               "(bit-identically); must exceed "
                               "--trial-timeout")
         cmd.add_argument("--memory-limit-mb", type=_positive_float,
-                         default=None, metavar="MIB",
+                         default=unset, metavar="MIB",
                          help="soft per-worker RSS ceiling; workers above "
                               "it are recycled without affecting results")
-        cmd.add_argument("--max-retries", type=_nonnegative_int, default=2,
+        cmd.add_argument("--max-retries", type=_nonnegative_int,
+                         default=unset,
                          help="retries per shard lost to a dead worker "
                               "before degrading to in-process execution")
-        add_sanitize(cmd)
-        add_model(cmd)
+        add_sanitize(cmd, unset)
+        add_model(cmd, unset)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
@@ -202,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               choices=("fork", "spawn", "forkserver"),
                               help="multiprocessing start method "
                                    "(default: $REPRO_START_METHOD or fork)")
-    campaign_cmd.add_argument("--artifacts", default=None, metavar="DIR",
+    campaign_cmd.add_argument("--artifacts", default=argparse.SUPPRESS,
+                              dest="artifact_dir", metavar="DIR",
                               help="write a replayable JSON artifact here "
                                    "for every trial that finds a bug, "
                                    "errors, times out, or is flagged "
@@ -345,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "('model'); exits nonzero on divergence")
     fuzz_cmd.add_argument(
         "--sanitize", default="sampled",
-        choices=("off", "sampled", "all"),
+        choices=SANITIZE_MODES,
         help="campaign-trial consistency auditing (default: sampled)")
     add_model(fuzz_cmd)
 
@@ -531,26 +541,11 @@ def _cmd_hunt(args) -> int:
 
 def _args_to_job_spec(args):
     """A validated-later :class:`repro.service.jobs.JobSpec` from CLI
-    campaign/submit arguments (the two commands share flag names)."""
+    campaign/submit arguments: the fields whose flags were given."""
     from ..service.jobs import JobSpec
 
-    return JobSpec(
-        benchmark=args.benchmark,
-        scheduler=args.scheduler,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-        depth=args.depth,
-        history=args.history,
-        max_steps=args.max_steps,
-        trial_timeout_s=args.trial_timeout,
-        hang_timeout_s=args.hang_timeout,
-        memory_limit_mb=args.memory_limit_mb,
-        max_retries=args.max_retries,
-        sanitize=args.sanitize,
-        model=args.model,
-        artifact_dir=getattr(args, "artifacts", None),
-    )
+    return JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
+                      if hasattr(args, f.name)})
 
 
 def _cmd_campaign(args) -> int:
@@ -582,13 +577,14 @@ def _cmd_campaign(args) -> int:
           f"steps={result.total_steps} events={result.total_events} "
           f"errors={result.errors} timeouts={result.timeouts}"
           + (f" inconsistent={result.inconsistent}"
-             if args.sanitize != "off" else ""))
+             if spec.sanitize != "off" else ""))
     for sample in result.error_samples:
         print(f"  error sample: {sample}")
     for sample in result.violation_samples:
         print(f"  SANITIZER violation: {sample}")
     if result.artifacts:
-        print(f"  {len(result.artifacts)} artifact(s) in {args.artifacts} "
+        print(f"  {len(result.artifacts)} artifact(s) in "
+              f"{spec.artifact_dir} "
               f"(replay with: python -m repro replay "
               f"{result.artifacts[0]})")
     if result.resumed_trials:

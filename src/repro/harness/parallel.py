@@ -19,7 +19,8 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   back for the next campaign, so a daemon serving many jobs pays worker
   start-up (importing ``repro`` in a fresh forkserver or spawn child)
   once per pool, not once per job.  Every shard ships the campaign's
-  :class:`ShardSpec` with its trial indices, and a worker rebuilds its
+  :class:`~repro.harness.campaign.TrialConfig` with its trial indices,
+  and a worker rebuilds its
   :class:`~repro.harness.campaign.TrialRunner` — program, scheduler,
   pooled execution state — only when that config differs from the one
   it has cached.  A pool that broke, was interrupted, or lost a worker
@@ -33,7 +34,7 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   holds only bounded aggregate state.
 * **Faults are contained at three levels.**  A trial that raises or
   exhausts its wall-clock budget becomes an ``error``/``timeout``
-  record inside the worker (:func:`repro.harness.campaign.run_trial`).
+  record inside the worker (:meth:`repro.harness.campaign.TrialRunner.run`).
   A worker that *dies* (OOM kill, fork-unsafe state, segfault) breaks
   the pool; the supervisor rebuilds it and retries the lost shards with
   bounded retries and exponential backoff — retries are bit-identical
@@ -84,7 +85,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.executor import RunResult
 from . import faultrig
 from .campaign import (
     GC_COLLECT_STRIDE,
@@ -92,6 +92,7 @@ from .campaign import (
     CampaignResult,
     ProgramFactory,
     SchedulerFactory,
+    TrialConfig,
     TrialRecord,
     TrialRunner,
     resolve_campaign_names,
@@ -103,7 +104,6 @@ from .watchdog import HeartbeatBoard, Watchdog, WatchdogStats
 __all__ = [
     "CampaignProgress",
     "ShardResult",
-    "ShardSpec",
     "WatchdogStats",
     "print_progress",
     "run_campaign_parallel",
@@ -122,42 +122,6 @@ RETRY_BACKOFF_CAP_S = 5.0
 #: Idle worker pools kept for reuse, across all keys; the least recently
 #: returned pool is shut down beyond this.
 IDLE_POOL_LIMIT = 2
-
-
-@dataclass
-class ShardSpec:
-    """The trial configuration every shard of one campaign runs under.
-
-    Shards themselves are plain tuples of trial indices: usually
-    contiguous, but resuming from a checkpoint shards only the
-    *remaining* trials, which may have holes.  This config crosses the
-    process boundary with every shard, so the factories must be
-    picklable (registry specs or module-level callables); workers compare
-    it by value to decide whether their cached runner still applies.
-    """
-
-    program_factory: ProgramFactory
-    scheduler_factory: SchedulerFactory
-    base_seed: int
-    max_steps: int = 20000
-    count_operations: Optional[Callable[[RunResult], int]] = None
-    trial_timeout_s: Optional[float] = None
-    sanitize: str = "off"
-    artifact_dir: Optional[str] = None
-    spin_threshold: int = 8
-    model: str = "c11"
-
-    def make_runner(self) -> TrialRunner:
-        """A warm trial runner configured like this shard."""
-        return TrialRunner(
-            self.program_factory, self.scheduler_factory, self.base_seed,
-            max_steps=self.max_steps,
-            count_operations=self.count_operations,
-            trial_timeout_s=self.trial_timeout_s, sanitize=self.sanitize,
-            artifact_dir=self.artifact_dir,
-            spin_threshold=self.spin_threshold,
-            model=self.model,
-        )
 
 
 @dataclass
@@ -213,7 +177,7 @@ def print_progress(progress: CampaignProgress) -> None:
 
 #: Per-worker-process warm state: the config of the last shard run here
 #: and the runner built from it (see :func:`_run_shard_warm`).
-_WORKER_CONFIG: Optional[ShardSpec] = None
+_WORKER_CONFIG: Optional[TrialConfig] = None
 _WORKER_RUNNER: Optional[TrialRunner] = None
 _WORKER_TRIALS_SINCE_GC = 0
 #: The worker's claimed heartbeat slot on its pool's board.
@@ -272,7 +236,7 @@ def _exit_with(sentinel) -> None:
     os._exit(0)
 
 
-def _run_shard_warm(config: ShardSpec,
+def _run_shard_warm(config: TrialConfig,
                     indices: Tuple[int, ...]) -> ShardResult:
     """Warm shard entry point: run trial ``indices`` under ``config``.
 
@@ -292,7 +256,7 @@ def _run_shard_warm(config: ShardSpec,
     try:
         faultrig.maybe_inject(heartbeat)
         if config != _WORKER_CONFIG:
-            _WORKER_RUNNER = config.make_runner()
+            _WORKER_RUNNER = TrialRunner(config)
             _WORKER_CONFIG = config
         records = []
         for index in indices:
@@ -500,7 +464,7 @@ class _ShardSupervisor:
                  journal: Optional[TrialJournal],
                  on_progress: Callable[[ShardResult], None],
                  accumulator: CampaignAccumulator,
-                 worker_config: ShardSpec,
+                 worker_config: TrialConfig,
                  hang_timeout_s: Optional[float] = None,
                  memory_limit_mb: Optional[float] = None,
                  watchdog_stats: Optional[WatchdogStats] = None,
@@ -695,7 +659,7 @@ class _ShardSupervisor:
         on one warm runner shared by every leftover shard."""
         if not self.pending:
             return
-        runner = self.worker_config.make_runner()
+        runner = TrialRunner(self.worker_config)
         for key in sorted(self.pending):
             t0 = time.perf_counter()
             records = [runner.run(index) for index in self.pending[key]]
@@ -703,15 +667,33 @@ class _ShardSupervisor:
                                             time.perf_counter() - t0))
 
 
+def check_watchdog_limits(trial_timeout_s: Optional[float],
+                          hang_timeout_s: Optional[float],
+                          memory_limit_mb: Optional[float]) -> None:
+    """Raise ``ValueError`` on watchdog limits a campaign cannot run with.
+
+    Shared by :func:`run_campaign_parallel` and the job spec's
+    validation, so both reject the same settings with the same messages.
+    """
+    if hang_timeout_s is not None and hang_timeout_s <= 0:
+        raise ValueError("hang_timeout_s must be positive")
+    if memory_limit_mb is not None and memory_limit_mb <= 0:
+        raise ValueError("memory_limit_mb must be positive")
+    if (hang_timeout_s is not None and trial_timeout_s is not None
+            and hang_timeout_s <= trial_timeout_s):
+        raise ValueError(
+            "hang_timeout_s must exceed trial_timeout_s: the cooperative "
+            "per-trial budget should fire before the preemptive one")
+
+
 def run_campaign_parallel(
         program_factory: ProgramFactory,
         scheduler_factory: SchedulerFactory,
         trials: int = 100,
-        base_seed: int = 0,
-        max_steps: int = 20000,
+        base_seed: int = TrialConfig.base_seed,
+        max_steps: int = TrialConfig.max_steps,
         jobs: int = 1,
         scheduler_name: Optional[str] = None,
-        count_operations: Optional[Callable[[RunResult], int]] = None,
         progress: Optional[Callable[[CampaignProgress], None]] = None,
         chunks_per_job: int = 4,
         trial_timeout_s: Optional[float] = None,
@@ -720,10 +702,10 @@ def run_campaign_parallel(
         max_retries: int = 2,
         retry_backoff_s: float = 0.1,
         start_method: Optional[str] = None,
-        sanitize: str = "off",
+        sanitize: str = TrialConfig.sanitize,
         artifact_dir: Optional[str] = None,
-        spin_threshold: int = 8,
-        model: str = "c11",
+        spin_threshold: int = TrialConfig.spin_threshold,
+        model: str = TrialConfig.model,
         hang_timeout_s: Optional[float] = None,
         memory_limit_mb: Optional[float] = None,
         watchdog_stats: Optional[WatchdogStats] = None,
@@ -740,6 +722,12 @@ def run_campaign_parallel(
     fewer trials than workers, where pool startup would dominate — the
     campaign runs in-process, so callers can thread a jobs parameter
     through unconditionally.
+
+    The per-trial settings (``base_seed``, ``max_steps``,
+    ``trial_timeout_s``, ``sanitize``, ``artifact_dir``,
+    ``spin_threshold``, ``model``) are those of
+    :class:`~repro.harness.campaign.TrialConfig`; the campaign builds one
+    and ships it to every worker.
 
     Fault tolerance:
 
@@ -786,141 +774,113 @@ def run_campaign_parallel(
         raise ValueError("trials must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
-    if hang_timeout_s is not None and hang_timeout_s <= 0:
-        raise ValueError("hang_timeout_s must be positive")
-    if memory_limit_mb is not None and memory_limit_mb <= 0:
-        raise ValueError("memory_limit_mb must be positive")
-    if (hang_timeout_s is not None and trial_timeout_s is not None
-            and hang_timeout_s <= trial_timeout_s):
-        raise ValueError(
-            "hang_timeout_s must exceed trial_timeout_s: the cooperative "
-            "per-trial budget should fire before the preemptive one")
+    check_watchdog_limits(trial_timeout_s, hang_timeout_s, memory_limit_mb)
+    config = TrialConfig(
+        program_factory, scheduler_factory, base_seed=base_seed,
+        max_steps=max_steps, trial_timeout_s=trial_timeout_s,
+        sanitize=sanitize, artifact_dir=artifact_dir,
+        spin_threshold=spin_threshold, model=model)
     with _sigterm_as_interrupt() as term_seen:
-        return _run_campaign_parallel(
-            program_factory, scheduler_factory, trials, base_seed,
-            max_steps, jobs, scheduler_name, count_operations, progress,
-            chunks_per_job, trial_timeout_s, checkpoint, resume,
-            max_retries, retry_backoff_s, start_method, sanitize,
-            artifact_dir, spin_threshold, model,
-            hang_timeout_s, memory_limit_mb, watchdog_stats,
-            watchdog_poll_s, on_pool_change, term_seen)
+        if (jobs <= 1 or trials < jobs) and checkpoint is None:
+            # The module-global run_campaign, so one patched here (the
+            # perf tracer's) sees serial campaigns too.
+            result = run_campaign(trials=trials,
+                                  scheduler_name=scheduler_name,
+                                  **vars(config))
+            if progress is not None:
+                progress(CampaignProgress(trials, trials, result.elapsed_s))
+            return result
 
-
-def _run_campaign_parallel(
-        program_factory, scheduler_factory, trials, base_seed, max_steps,
-        jobs, scheduler_name, count_operations, progress, chunks_per_job,
-        trial_timeout_s, checkpoint, resume, max_retries, retry_backoff_s,
-        start_method, sanitize, artifact_dir, spin_threshold, model,
-        hang_timeout_s, memory_limit_mb, watchdog_stats,
-        watchdog_poll_s, on_pool_change, term_seen) -> CampaignResult:
-    """Campaign body; runs with SIGTERM mapped onto KeyboardInterrupt."""
-    if (jobs <= 1 or trials < jobs) and checkpoint is None:
-        result = run_campaign(
-            program_factory, scheduler_factory, trials=trials,
-            base_seed=base_seed, max_steps=max_steps,
-            scheduler_name=scheduler_name,
-            count_operations=count_operations,
-            trial_timeout_s=trial_timeout_s,
-            sanitize=sanitize, artifact_dir=artifact_dir,
-            spin_threshold=spin_threshold, model=model,
+        program_name, sched_name = resolve_campaign_names(
+            config, scheduler_name)
+        result = CampaignResult(
+            program=program_name,
+            scheduler=sched_name,
+            trials=trials,
+            jobs=jobs,
         )
-        if progress is not None:
-            progress(CampaignProgress(trials, trials, result.elapsed_s))
+
+        journal: Optional[TrialJournal] = None
+        done: Dict[int, TrialRecord] = {}
+        if checkpoint is not None:
+            journal = TrialJournal(checkpoint)
+            done = journal.start(
+                {"program": program_name, "scheduler": sched_name,
+                 "base_seed": base_seed, "trials": trials,
+                 "max_steps": max_steps, "sanitize": sanitize,
+                 "model": model},
+                resume=resume,
+            )
+            done = {i: r for i, r in done.items() if i < trials}
+        result.resumed_trials = len(done)
+
+        remaining = [i for i in range(trials) if i not in done]
+        shards = [
+            tuple(remaining[start:stop])
+            for start, stop in shard_bounds(len(remaining), max(jobs, 1),
+                                            chunks_per_job)
+            if stop > start
+        ]
+
+        start_time = time.perf_counter()
+        completed_trials = len(done)
+        wall_times: List[float] = []
+
+        def on_progress(outcome: ShardResult) -> None:
+            nonlocal completed_trials
+            completed_trials += len(outcome.records)
+            wall_times.append(outcome.wall_s)
+            if progress is not None:
+                progress(CampaignProgress(
+                    completed_trials, trials,
+                    time.perf_counter() - start_time,
+                    list(wall_times),
+                    resumed_trials=len(done),
+                ))
+
+        # Streaming, order-independent fold: resumed records seed the
+        # accumulator, fresh shard records fold in as each shard
+        # completes (inside the supervisor), and finalize() materializes
+        # aggregates identical to a serial in-order campaign.
+        accumulator = CampaignAccumulator()
+        for record in done.values():
+            accumulator.add(record)
+
+        stats = watchdog_stats if watchdog_stats is not None \
+            else WatchdogStats()
+        # The stats object may be shared across campaigns (a daemon
+        # exposes one fleet-wide instance); this campaign's own
+        # preemption counts are the deltas across its run.
+        hang_kills_before = stats.hang_kills
+        rss_kills_before = stats.rss_kills
+
+        supervisor = _ShardSupervisor(
+            shards, jobs, _pool_context(start_method), max_retries,
+            retry_backoff_s, journal, on_progress, accumulator, config,
+            hang_timeout_s=hang_timeout_s, memory_limit_mb=memory_limit_mb,
+            watchdog_stats=stats, watchdog_poll_s=watchdog_poll_s,
+            on_pool_change=on_pool_change)
+        try:
+            if shards:
+                supervisor.run()
+            elif progress is not None:
+                progress(CampaignProgress(
+                    trials, trials, time.perf_counter() - start_time,
+                    resumed_trials=len(done)))
+        finally:
+            if journal is not None:
+                if supervisor.interrupted:
+                    journal.append_event(
+                        "interrupt",
+                        signal=term_seen.get("signal", "SIGINT"),
+                        completed=accumulator.completed)
+                journal.close()
+
+        result.shard_times_s = [
+            wall for _, wall in sorted(supervisor.shard_walls)]
+        result.interrupted = supervisor.interrupted
+        result.hang_preemptions = stats.hang_kills - hang_kills_before
+        result.rss_recycles = stats.rss_kills - rss_kills_before
+        result.elapsed_s = time.perf_counter() - start_time
+        accumulator.finalize(result)
         return result
-
-    program_name, sched_name = resolve_campaign_names(
-        program_factory, scheduler_factory, base_seed, scheduler_name)
-    result = CampaignResult(
-        program=program_name,
-        scheduler=sched_name,
-        trials=trials,
-        jobs=jobs,
-    )
-
-    journal: Optional[TrialJournal] = None
-    done: Dict[int, TrialRecord] = {}
-    if checkpoint is not None:
-        journal = TrialJournal(checkpoint)
-        done = journal.start(
-            {"program": program_name, "scheduler": sched_name,
-             "base_seed": base_seed, "trials": trials,
-             "max_steps": max_steps, "sanitize": sanitize,
-             "model": model},
-            resume=resume,
-        )
-        done = {i: r for i, r in done.items() if i < trials}
-    result.resumed_trials = len(done)
-
-    remaining = [i for i in range(trials) if i not in done]
-    worker_config = ShardSpec(
-        program_factory, scheduler_factory, base_seed, max_steps,
-        count_operations, trial_timeout_s, sanitize, artifact_dir,
-        spin_threshold, model)
-    shards = [
-        tuple(remaining[start:stop])
-        for start, stop in shard_bounds(len(remaining), max(jobs, 1),
-                                        chunks_per_job)
-        if stop > start
-    ]
-
-    start_time = time.perf_counter()
-    completed_trials = len(done)
-    wall_times: List[float] = []
-
-    def on_progress(outcome: ShardResult) -> None:
-        nonlocal completed_trials
-        completed_trials += len(outcome.records)
-        wall_times.append(outcome.wall_s)
-        if progress is not None:
-            progress(CampaignProgress(
-                completed_trials, trials,
-                time.perf_counter() - start_time,
-                list(wall_times),
-                resumed_trials=len(done),
-            ))
-
-    # Streaming, order-independent fold: resumed records seed the
-    # accumulator, fresh shard records fold in as each shard completes
-    # (inside the supervisor), and finalize() materializes aggregates
-    # identical to a serial in-order campaign.
-    accumulator = CampaignAccumulator()
-    for record in done.values():
-        accumulator.add(record)
-
-    stats = watchdog_stats if watchdog_stats is not None else WatchdogStats()
-    # The stats object may be shared across campaigns (a daemon exposes
-    # one fleet-wide instance); this campaign's own preemption counts are
-    # the deltas across its run.
-    hang_kills_before = stats.hang_kills
-    rss_kills_before = stats.rss_kills
-
-    supervisor = _ShardSupervisor(
-        shards, jobs, _pool_context(start_method), max_retries,
-        retry_backoff_s, journal, on_progress, accumulator, worker_config,
-        hang_timeout_s=hang_timeout_s, memory_limit_mb=memory_limit_mb,
-        watchdog_stats=stats, watchdog_poll_s=watchdog_poll_s,
-        on_pool_change=on_pool_change)
-    try:
-        if shards:
-            supervisor.run()
-        elif progress is not None:
-            progress(CampaignProgress(
-                trials, trials, time.perf_counter() - start_time,
-                resumed_trials=len(done)))
-    finally:
-        if journal is not None:
-            if supervisor.interrupted:
-                journal.append_event(
-                    "interrupt",
-                    signal=term_seen.get("signal", "SIGINT"),
-                    completed=accumulator.completed)
-            journal.close()
-
-    result.shard_times_s = [
-        wall for _, wall in sorted(supervisor.shard_walls)]
-    result.interrupted = supervisor.interrupted
-    result.hang_preemptions = stats.hang_kills - hang_kills_before
-    result.rss_recycles = stats.rss_kills - rss_kills_before
-    result.elapsed_s = time.perf_counter() - start_time
-    accumulator.finalize(result)
-    return result

@@ -1,10 +1,13 @@
 """Exhaustive and bounded systematic exploration for tiny programs."""
 
-from .bounded import BoundedReport, explore_bounded, preemption_ladder
-from .explorer import ExplorationReport, explore
+from .explorer import (
+    ExplorationReport,
+    explore,
+    explore_bounded,
+    preemption_ladder,
+)
 
 __all__ = [
-    "BoundedReport",
     "ExplorationReport",
     "explore",
     "explore_bounded",

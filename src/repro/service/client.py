@@ -8,7 +8,9 @@ Retry semantics — conservative on purpose:
 
 * Connection failures and ``5xx`` responses retry with capped
   exponential backoff (the daemon may be mid-restart, or a persist hit
-  a transient I/O error).  Every submit carries an ``Idempotency-Key``
+  a transient I/O error).  ``503`` is the exception: the daemon sends it
+  only while draining, and a draining daemon exits rather than recovers,
+  so it raises at once.  Every submit carries an ``Idempotency-Key``
   — auto-generated when the caller does not supply one — so a retried
   submit whose first attempt actually landed returns the *existing* job
   instead of double-enqueueing.
@@ -116,7 +118,8 @@ class ServiceClient:
         """One request with bounded retries on connection errors / 5xx.
 
         ``4xx`` raises immediately — retrying a request the server
-        understood and refused cannot change the answer.
+        understood and refused cannot change the answer — and so does
+        ``503``, which the daemon sends only while draining.
         """
         delay = self.backoff_s
         for attempt in range(self.retries + 1):
@@ -124,7 +127,8 @@ class ServiceClient:
                 return self._request_once(method, path, payload=payload,
                                           headers=headers)
             except ServiceError as exc:
-                transient = exc.code == 0 or exc.code >= 500
+                transient = exc.code == 0 or (
+                    exc.code >= 500 and exc.code != 503)
                 if not transient or attempt == self.retries:
                     raise
             time.sleep(min(delay, BACKOFF_CAP_S))

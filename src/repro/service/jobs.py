@@ -29,9 +29,19 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
-from ..harness.campaign import TRIAL_TIMEOUT_MIN_S, CampaignResult
-from ..harness.parallel import CampaignProgress, run_campaign_parallel
+from ..harness.campaign import (
+    SANITIZE_MODES,
+    TRIAL_TIMEOUT_MIN_S,
+    CampaignResult,
+    TrialConfig,
+)
+from ..harness.parallel import (
+    CampaignProgress,
+    check_watchdog_limits,
+    run_campaign_parallel,
+)
 from ..harness.watchdog import WatchdogStats
+from ..memory.model import available_models, resolve_model
 
 __all__ = [
     "JobSpec",
@@ -40,8 +50,6 @@ __all__ = [
     "run_job",
 ]
 
-_SANITIZE_CHOICES = ("off", "sampled", "all")
-_MODEL_CHOICES = ("c11", "tso")
 #: Values of the retired ``record_mode`` field.  Artifacts now always take
 #: their trace from the first run, so both mean the same and
 #: :meth:`JobSpec.from_dict` drops them from older job records.
@@ -55,17 +63,17 @@ class JobSpec:
     benchmark: str
     scheduler: str = "pctwm"
     trials: int = 100
-    seed: int = 0
+    seed: int = TrialConfig.base_seed
     jobs: int = 1
     depth: Optional[int] = None
     history: Optional[int] = None
-    max_steps: int = 20000
+    max_steps: int = TrialConfig.max_steps
     trial_timeout_s: Optional[float] = None
     hang_timeout_s: Optional[float] = None
     memory_limit_mb: Optional[float] = None
     max_retries: int = 2
-    sanitize: str = "off"
-    model: str = "c11"
+    sanitize: str = TrialConfig.sanitize
+    model: str = TrialConfig.model
     artifact_dir: Optional[str] = None
 
     #: A ``record_mode`` value :meth:`from_dict` could not drop, kept for
@@ -108,17 +116,16 @@ class JobSpec:
         that both paths share this method.
         """
         from ..core.factory import SCHEDULER_REGISTRY
-        from ..memory.model import resolve_model
         from ..workloads import BENCHMARKS
 
         if self.scheduler not in SCHEDULER_REGISTRY:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; known: "
                 + ", ".join(sorted(SCHEDULER_REGISTRY)))
-        if self.model not in _MODEL_CHOICES:
+        if self.model not in available_models():
             raise ValueError(
                 f"unknown model {self.model!r}; known: "
-                + ", ".join(_MODEL_CHOICES))
+                + ", ".join(available_models()))
         model = resolve_model(self.model)
         if not model.supports_scheduler(self.scheduler):
             raise ValueError(
@@ -144,21 +151,12 @@ class JobSpec:
             raise ValueError(
                 f"trial_timeout_s must be >= {TRIAL_TIMEOUT_MIN_S} "
                 f"(one scheduler-step quantum)")
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0:
-            raise ValueError("hang_timeout_s must be positive")
-        if self.memory_limit_mb is not None and self.memory_limit_mb <= 0:
-            raise ValueError("memory_limit_mb must be positive")
-        if (self.hang_timeout_s is not None
-                and self.trial_timeout_s is not None
-                and self.hang_timeout_s <= self.trial_timeout_s):
-            raise ValueError(
-                "hang_timeout_s must exceed trial_timeout_s: the "
-                "cooperative per-trial budget should fire before the "
-                "preemptive one")
-        if self.sanitize not in _SANITIZE_CHOICES:
+        check_watchdog_limits(self.trial_timeout_s, self.hang_timeout_s,
+                              self.memory_limit_mb)
+        if self.sanitize not in SANITIZE_MODES:
             raise ValueError(
                 f"unknown sanitize mode {self.sanitize!r}; known: "
-                + ", ".join(_SANITIZE_CHOICES))
+                + ", ".join(SANITIZE_MODES))
         if self._bad_record_mode is not None:
             raise ValueError(
                 f"unknown record mode {self._bad_record_mode!r}; the "

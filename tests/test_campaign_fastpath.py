@@ -33,6 +33,7 @@ from repro.harness.campaign import (
     RUN_TIME_SAMPLE_LIMIT,
     CampaignAccumulator,
     CampaignResult,
+    TrialConfig,
     TrialRecord,
     TrialRunner,
     run_campaign,
@@ -348,12 +349,13 @@ class TestWarmStateEquivalence:
             for name, scheduler_spec in SCHEDULER_SPECS.items():
                 # Plain closures never declare supports_reuse, so the
                 # cold runner rebuilds everything each trial.
-                cold = TrialRunner(
+                cold = TrialRunner(TrialConfig(
                     (lambda spec=program_spec: spec.build()),
                     (lambda seed, spec=scheduler_spec: spec(seed)),
-                    base_seed=7, max_steps=8000)
-                warm = TrialRunner(program_spec, scheduler_spec,
-                                   base_seed=7, max_steps=8000)
+                    base_seed=7, max_steps=8000))
+                warm = TrialRunner(TrialConfig(
+                    program_spec, scheduler_spec, base_seed=7,
+                    max_steps=8000))
                 assert not cold._reuse_scheduler and not cold._reuse_program
                 assert warm._reuse_scheduler and warm._reuse_program
                 for index in range(trials):
@@ -362,7 +364,8 @@ class TestWarmStateEquivalence:
                     assert a == b, (workload, name, index)
 
     def test_warm_runner_matches_run_campaign(self):
-        runner = TrialRunner(MSQUEUE_SPEC, PCTWM_SPEC, base_seed=3)
+        runner = TrialRunner(TrialConfig(MSQUEUE_SPEC, PCTWM_SPEC,
+                                         base_seed=3))
         records = [_strip_timing(runner.run(i)) for i in range(8)]
         result = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC, trials=8,
                               base_seed=3)

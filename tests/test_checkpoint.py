@@ -18,12 +18,40 @@ def make_record(index, **kwargs):
     return TrialRecord(index=index, **defaults)
 
 
+PINNED_RECORDS = [
+    make_record(0, bug_found=True, steps=12, k=9,
+                elapsed_s=0.123456789012345, inconsistent=True,
+                violations=["read-coherence: <e7 t2 R.X.r=1@rlx>",
+                            "SC: hb ∪ rf ∪ SC has a cycle"],
+                artifact="artifacts/trial-000000.json"),
+    make_record(1, steps=0, k=0, elapsed_s=0.5,
+                error="RuntimeError: boom @ wl.py:9"),
+]
+
+#: :data:`PINNED_RECORDS` as journals wrote them while records carried an
+#: ``operations`` count (here 3 and 0), CRCs included.
+OPERATIONS_LINES = [
+    '{"artifact": "artifacts/trial-000000.json", "bug_found": true, '
+    '"crc32": 1787181580, "elapsed_s": 0.123456789012345, '
+    '"error": null, "inconsistent": true, "index": 0, "k": 9, '
+    '"kind": "trial", "limit_exceeded": false, "operations": 3, '
+    '"steps": 12, "timed_out": false, "violations": '
+    '["read-coherence: <e7 t2 R.X.r=1@rlx>", '
+    '"SC: hb \\u222a rf \\u222a SC has a cycle"]}',
+    '{"artifact": null, "bug_found": false, "crc32": 2268965434, '
+    '"elapsed_s": 0.5, "error": "RuntimeError: boom @ wl.py:9", '
+    '"inconsistent": false, "index": 1, "k": 0, "kind": "trial", '
+    '"limit_exceeded": false, "operations": 0, "steps": 0, '
+    '"timed_out": false, "violations": []}',
+]
+
+
 class TestJournalRoundtrip:
     def test_records_roundtrip_exactly(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         records = [
             make_record(0, bug_found=True, elapsed_s=0.123456789012345),
-            make_record(1, limit_exceeded=True, operations=7),
+            make_record(1, limit_exceeded=True),
             make_record(2, timed_out=True),
             make_record(3, error="RuntimeError: boom @ wl.py:9"),
         ]
@@ -44,38 +72,38 @@ class TestJournalRoundtrip:
         included, are a resume contract: journals written by one version
         must load in the next."""
         path = str(tmp_path / "j.jsonl")
-        records = [
-            make_record(0, bug_found=True, steps=12, k=9,
-                        elapsed_s=0.123456789012345, operations=3,
-                        inconsistent=True,
-                        violations=["read-coherence: <e7 t2 R.X.r=1@rlx>",
-                                    "SC: hb ∪ rf ∪ SC has a cycle"],
-                        artifact="artifacts/trial-000000.json"),
-            make_record(1, steps=0, k=0, elapsed_s=0.5,
-                        error="RuntimeError: boom @ wl.py:9"),
-        ]
         journal = TrialJournal(path)
         journal.start(META)
-        journal.append(records)
+        journal.append(PINNED_RECORDS)
         journal.close()
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()[1:]
         assert lines == [
             '{"artifact": "artifacts/trial-000000.json", "bug_found": true, '
-            '"crc32": 1787181580, "elapsed_s": 0.123456789012345, '
+            '"crc32": 3909879069, "elapsed_s": 0.123456789012345, '
             '"error": null, "inconsistent": true, "index": 0, "k": 9, '
-            '"kind": "trial", "limit_exceeded": false, "operations": 3, '
+            '"kind": "trial", "limit_exceeded": false, '
             '"steps": 12, "timed_out": false, "violations": '
             '["read-coherence: <e7 t2 R.X.r=1@rlx>", '
             '"SC: hb \\u222a rf \\u222a SC has a cycle"]}',
-            '{"artifact": null, "bug_found": false, "crc32": 2268965434, '
+            '{"artifact": null, "bug_found": false, "crc32": 1651946258, '
             '"elapsed_s": 0.5, "error": "RuntimeError: boom @ wl.py:9", '
             '"inconsistent": false, "index": 1, "k": 0, "kind": "trial", '
-            '"limit_exceeded": false, "operations": 0, "steps": 0, '
+            '"limit_exceeded": false, "steps": 0, '
             '"timed_out": false, "violations": []}',
         ]
         _, loaded = load_journal(path)
-        assert [loaded[0], loaded[1]] == records
+        assert [loaded[0], loaded[1]] == PINNED_RECORDS
+
+    def test_lines_with_operations_still_load(self, tmp_path):
+        """Lines written while trial records carried an ``operations``
+        count load to the same records: the reader picks keys by name and
+        the CRC covers each line as it was written."""
+        path = tmp_path / "j.jsonl"
+        path.write_text("\n".join(OPERATIONS_LINES) + "\n",
+                        encoding="utf-8")
+        _, loaded = load_journal(str(path))
+        assert [loaded[0], loaded[1]] == PINNED_RECORDS
 
     def test_start_truncates_without_resume(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
@@ -126,6 +154,32 @@ class TestJournalRobustness:
         header, loaded = load_journal(path)
         assert header is not None
         assert sorted(loaded) == [0, 1]
+
+    @pytest.mark.parametrize("tail", [
+        '{"kind": "trial", "index": 2, "bug_fo',  # cut mid-line
+        None,  # cut right before a complete line's newline
+    ], ids=["mid-line", "before-newline"])
+    def test_resume_after_tear_keeps_every_appended_line(self, tmp_path,
+                                                         tail):
+        """A resumed writer starts a new line after a torn tail instead of
+        gluing its first record onto it."""
+        path = str(tmp_path / "j.jsonl")
+        journal = TrialJournal(path)
+        journal.start(META)
+        journal.append([make_record(0), make_record(1)])
+        journal.close()
+        with open(path, "rb+") as fh:
+            if tail is None:
+                fh.truncate(fh.seek(0, 2) - 1)  # drop the last "\n"
+            else:
+                fh.seek(0, 2)
+                fh.write(tail.encode())
+        journal = TrialJournal(path)
+        assert sorted(journal.start(META, resume=True)) == [0, 1]
+        journal.append([make_record(2), make_record(3)])
+        journal.close()
+        _, loaded = load_journal(path)
+        assert sorted(loaded) == [0, 1, 2, 3]
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "j.jsonl")

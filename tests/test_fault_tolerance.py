@@ -17,9 +17,15 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.core import C11TesterScheduler, NaiveRandomScheduler, SchedulerSpec
-from repro.harness import run_campaign, run_campaign_parallel, run_trial
-from repro.harness.campaign import ERROR_SAMPLE_LIMIT, summarize_exception
+from repro.harness import run_campaign, run_campaign_parallel
+from repro.harness.campaign import (
+    ERROR_SAMPLE_LIMIT,
+    TrialConfig,
+    TrialRunner,
+    summarize_exception,
+)
 from repro.harness.cli import main as cli_main
+from repro.harness.fsutil import CRC_KEY, stamp_crc
 from repro.harness import parallel
 from repro.harness.parallel import _pool_context
 from repro.litmus import store_buffering
@@ -166,7 +172,8 @@ class InterruptAfterShards:
 
 class TestTrialContainment:
     def test_crashing_workload_is_recorded_not_raised(self):
-        record = run_trial(crashing_program, naive_factory, 0, 0)
+        record = TrialRunner(
+            TrialConfig(crashing_program, naive_factory)).run(0)
         assert record.error is not None
         assert "RuntimeError" in record.error
         assert "workload exploded" in record.error
@@ -242,8 +249,8 @@ class TestTrialContainment:
 
     def test_timing_covers_scheduler_and_program_build(self):
         """Satellite: build costs on both sides count toward elapsed_s."""
-        record = run_trial(store_buffering, SlowSchedulerFactory(0.05),
-                           0, 0)
+        record = TrialRunner(
+            TrialConfig(store_buffering, SlowSchedulerFactory(0.05))).run(0)
         assert record.error is None
         assert record.elapsed_s >= 0.04
 
@@ -382,6 +389,13 @@ class TestWorkerRecovery:
 # -- checkpoint / resume -------------------------------------------------------
 
 
+def _aggregates(result) -> tuple:
+    return (result.completed, result.hits, result.inconclusive,
+            result.total_steps, result.total_events, result.errors,
+            result.timeouts, result.inconsistent, result.error_samples,
+            result.violation_samples)
+
+
 class TestCheckpointResume:
     def test_interrupt_then_resume_is_bit_identical(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -405,6 +419,32 @@ class TestCheckpointResume:
                 resumed.total_events) \
             == (serial.hits, serial.inconclusive, serial.total_steps,
                 serial.total_events)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_from_journal_with_operations(self, tmp_path, jobs):
+        """Journals whose trial lines carry the retired ``operations``
+        count, CRC-stamped over it as their writer did, resume exactly."""
+        program = ProgramSpec("SB", kind="litmus")
+        sched = SchedulerSpec("pctwm", {"depth": 2, "k_com": 4})
+        settings = dict(trials=40, base_seed=9, sanitize="sampled")
+        full_path = str(tmp_path / "full.jsonl")
+        uninterrupted = run_campaign_parallel(
+            program, sched, jobs=2, checkpoint=full_path, **settings)
+        with open(full_path) as fh:
+            header, *trials = [json.loads(line) for line in fh]
+        lines = [json.dumps(header, sort_keys=True)]
+        for obj in trials[:15]:
+            del obj[CRC_KEY]
+            obj["operations"] = 0
+            lines.append(json.dumps(stamp_crc(obj), sort_keys=True))
+        path = tmp_path / "partial.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+
+        resumed = run_campaign_parallel(
+            program, sched, jobs=jobs, checkpoint=str(path), resume=True,
+            **settings)
+        assert resumed.resumed_trials == 15
+        assert _aggregates(resumed) == _aggregates(uninterrupted)
 
     def test_journal_matches_folded_partial_aggregates(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

@@ -92,13 +92,6 @@ class TestCampaign:
         with pytest.raises(ValueError):
             run_campaign(store_buffering, naive_factory(), trials=0)
 
-    def test_operation_counting(self):
-        result = run_campaign(
-            store_buffering, naive_factory(), trials=5,
-            count_operations=lambda run: run.k,
-        )
-        assert result.operations == 5 * 4  # SB has 4 events per run
-
     def test_factories_produce_named_schedulers(self):
         assert pctwm_factory(1, 5, 2)(0).name == "pctwm"
         assert pct_factory(1, 5)(0).name == "pct"

@@ -524,12 +524,22 @@ class TestHttpApi:
         assert status_line.split()[1] == b"400"
         assert daemon.queue.list_jobs() == []
 
-    def test_draining_503(self, api):
+    def test_draining_503(self, api, monkeypatch):
+        """A draining daemon refuses a submit at once: 503 is not retried."""
         daemon, client = api
         assert client.drain() == {"status": "draining"}
+        sent = []
+        request_once = client._request_once
+
+        def counting(*args, **kwargs):
+            sent.append(args)
+            return request_once(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_request_once", counting)
         with pytest.raises(ServiceError) as excinfo:
             client.submit(spec_dict())
         assert excinfo.value.code == 503
+        assert len(sent) == 1
 
 
 class TestHttpRateLimit:
