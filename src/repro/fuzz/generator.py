@@ -39,6 +39,14 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..harness.options import (
+    NONNEGATIVE_INT,
+    POSITIVE_INT,
+    Bound,
+    Choice,
+    check_fields,
+    option,
+)
 from ..memory.events import MemoryOrder
 from ..runtime.api import fence, spin_until
 from ..runtime.errors import ProgramDefinitionError, require
@@ -74,65 +82,65 @@ class FuzzConfig:
 
     All fields are JSON-safe scalars/tuples so configs ride inside
     ``ProgramSpec.params`` (see :meth:`to_params` / :meth:`from_params`).
+    Declared fields (:mod:`repro.harness.options`) are checked on
+    construction and give the ``fuzz`` command its generator flags.
     """
 
-    #: Thread bounding (inclusive).
-    min_threads: int = 2
-    max_threads: int = 3
+    #: Thread bounding (inclusive); a program races at least two threads.
+    min_threads: int = option(2, Bound(int, 2))
+    max_threads: int = option(3, Bound(int, 2),
+                              help="upper bound on generated threads")
     #: Op bounding per thread, *including* any embedded oracle ops.
-    min_ops: int = 2
-    max_ops: int = 6
+    min_ops: int = option(2, POSITIVE_INT)
+    max_ops: int = option(6, POSITIVE_INT,
+                          help="per-thread operation bound (incl. any "
+                               "embedded oracle)")
     #: Variable bounding: total locations (incl. oracle/non-atomic locs).
-    max_locations: int = 4
+    max_locations: int = option(4, POSITIVE_INT,
+                                help="upper bound on memory locations")
     #: Memory orders the generator may draw from (plan order names).
     orders: Tuple[str, ...] = ("rlx", "acq", "rel", "acq_rel", "sc")
     #: Op-mix weights (any may be 0 to disable the kind).
-    load_weight: int = 4
-    store_weight: int = 4
-    rmw_weight: int = 2
-    cas_weight: int = 1
-    fence_weight: int = 1
-    spin_weight: int = 1
+    load_weight: int = option(4, NONNEGATIVE_INT)
+    store_weight: int = option(4, NONNEGATIVE_INT)
+    rmw_weight: int = option(2, NONNEGATIVE_INT)
+    cas_weight: int = option(1, NONNEGATIVE_INT)
+    fence_weight: int = option(1, NONNEGATIVE_INT)
+    spin_weight: int = option(1, NONNEGATIVE_INT)
     #: Probability that an access targets the hot location subset.
     hot_bias: float = 0.75
     #: ``"mixed"`` or ``"determinate"`` (see module docstring).
-    profile: str = "mixed"
+    profile: str = option(
+        "mixed", Choice("profile", ("mixed", "determinate")),
+        help="'determinate' generates race-free programs with an "
+             "interleaving-invariant final state")
     #: Embedded MP assertion oracle: "off" | "auto" (coin flip) | "always".
-    oracle: str = "auto"
+    oracle: str = option("auto", Choice("oracle", ("off", "auto", "always")),
+                         help="embed a message-passing assertion oracle")
     #: Add a non-atomic location with racy accesses (mixed profile only).
-    allow_nonatomic: bool = False
+    allow_nonatomic: bool = option(
+        False, help="generate non-atomic (racy) accesses too")
     #: Bounds that keep every generated program finite.
-    max_spins: int = 4
-    cas_retries: int = 3
+    max_spins: int = option(4, POSITIVE_INT)
+    cas_retries: int = option(3, POSITIVE_INT)
     #: Stored values are drawn from 1..value_range.
-    value_range: int = 8
+    value_range: int = option(8, POSITIVE_INT)
 
     def __post_init__(self) -> None:
-        if not (2 <= self.min_threads <= self.max_threads):
-            raise ValueError("need 2 <= min_threads <= max_threads")
-        if not (1 <= self.min_ops <= self.max_ops):
-            raise ValueError("need 1 <= min_ops <= max_ops")
-        if self.max_locations < 1:
-            raise ValueError("max_locations must be >= 1")
+        check_fields(self)
+        if self.min_threads > self.max_threads:
+            raise ValueError("need min_threads <= max_threads")
+        if self.min_ops > self.max_ops:
+            raise ValueError("need min_ops <= max_ops")
         if not self.orders:
             raise ValueError("orders must be non-empty")
         unknown = [o for o in self.orders if o not in ORDER_BY_NAME]
         if unknown:
             raise ValueError(f"unknown memory orders: {unknown}")
-        weights = (self.load_weight, self.store_weight, self.rmw_weight,
-                   self.cas_weight, self.fence_weight, self.spin_weight)
-        if any(w < 0 for w in weights):
-            raise ValueError("op weights must be >= 0")
         if self.load_weight + self.store_weight <= 0:
             raise ValueError("load_weight + store_weight must be > 0")
         if not (0.0 <= self.hot_bias <= 1.0):
             raise ValueError("hot_bias must be in [0, 1]")
-        if self.profile not in ("mixed", "determinate"):
-            raise ValueError("profile must be 'mixed' or 'determinate'")
-        if self.oracle not in ("off", "auto", "always"):
-            raise ValueError("oracle must be 'off', 'auto' or 'always'")
-        if self.max_spins < 1 or self.cas_retries < 1 or self.value_range < 1:
-            raise ValueError("max_spins/cas_retries/value_range must be >= 1")
         object.__setattr__(self, "orders", tuple(self.orders))
 
     def to_params(self) -> Dict[str, Any]:

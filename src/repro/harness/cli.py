@@ -1,42 +1,31 @@
 """Command-line interface: regenerate any table or figure of the paper.
 
-Mirrors the artifact's ``result_pctwm.sh`` / ``run_all.sh`` scripts:
-
-    python -m repro table1
-    python -m repro table2 --trials 1000          # paper-scale
-    python -m repro table3 --benchmarks dekker seqlock
-    python -m repro table4 --runs 10
-    python -m repro figure5 --trials 500
-    python -m repro figure6 --trials 500
-    python -m repro all --trials 100
-
-plus utility commands beyond the artifact:
-
-    python -m repro depth mpmcqueue               # estimate k/k_com/d
-    python -m repro hunt seqlock --out trace.json # find a bug, save trace
-    python -m repro litmus --trials 200           # run the litmus gallery
-    python -m repro campaign msqueue --sanitize sampled --artifacts art/
-    python -m repro replay art/trial-000007.json --minimize
-    python -m repro bench                         # write BENCH_engine.json
-    python -m repro bench --quick --check         # CI perf smoke gate
-
-and the campaign service (see repro.service):
-
-    python -m repro serve --state-dir svc/        # campaign-job daemon
-    python -m repro job submit seqlock --trials 500 --jobs 4
-    python -m repro job result job-000001 --wait
-    python -m repro job drain
+Mirrors the artifact's ``result_pctwm.sh`` / ``run_all.sh`` scripts
+(``python -m repro table2 --trials 1000`` is paper scale), plus utility
+commands (``depth``, ``hunt``, ``litmus``, ``campaign``, ``replay``,
+``fuzz``, ``bench``, ``report``) and the campaign service (``serve``,
+``job submit|status|result|cancel|drain``); ``python -m repro --help``
+lists them, and docs/usage.md walks through them.  Each subparser names
+its handler as its ``run`` default, and the campaign, hunt and fuzz
+generator flags are built from :class:`JobSpec`'s and
+:class:`FuzzConfig`'s field declarations.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 from dataclasses import fields
 from typing import List, Optional
 
-from ..memory.model import available_models
+from ..fuzz.generator import FuzzConfig
+from ..service.client import ServiceClient, ServiceError
+from ..service.jobs import JobSpec, resolve_factories
 from .campaign import SANITIZE_MODES
+from .charts import bar_chart, line_charts
 from .figures import figure5, figure6, render_figure5, render_figure6
+from .options import NONNEGATIVE_INT, POSITIVE_FLOAT, POSITIVE_INT, add_flags
 from .tables import (
     render_table1,
     render_table2,
@@ -48,51 +37,20 @@ from .tables import (
     table4,
 )
 
+#: The :class:`JobSpec` flags of ``campaign`` and ``job submit``; only
+#: ``campaign`` takes ``--artifacts``, a path on its own file system.
+_JOB_FLAGS = tuple(f.name for f in fields(JobSpec) if f.name != "artifact_dir")
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+#: The :class:`FuzzConfig` fields ``fuzz`` takes as flags.
+_FUZZ_FLAGS = ("max_threads", "max_ops", "max_locations", "profile",
+               "oracle", "allow_nonatomic")
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _trial_timeout(text: str) -> float:
-    """A ``--trial-timeout`` value: positive and at least the quantum.
-
-    The budget is checked once per scheduler step, so values below one
-    step quantum cannot distinguish a slow trial from any trial at all.
-    """
-    from .campaign import TRIAL_TIMEOUT_MIN_S
-
-    value = _positive_float(text)
-    if value < TRIAL_TIMEOUT_MIN_S:
-        raise argparse.ArgumentTypeError(
-            f"must be >= {TRIAL_TIMEOUT_MIN_S}s (one scheduler-step "
-            f"quantum), got {value}")
-    return value
+def add_campaign_flags(cmd: argparse.ArgumentParser,
+                       names=_JOB_FLAGS) -> None:
+    """:class:`JobSpec` flags from its field declarations; a flag left
+    out sets nothing, so the spec's own field default applies."""
+    add_flags(cmd, JobSpec, names, default=argparse.SUPPRESS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,103 +60,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model(cmd: argparse.ArgumentParser, default="c11") -> None:
-        cmd.add_argument("--model", default=default,
-                         choices=available_models(),
-                         help="memory-model backend to execute under "
-                              "(default: the C11 axiomatic engine; 'tso' "
-                              "runs the x86-TSO store-buffer backend)")
-
-    def add_sanitize(cmd: argparse.ArgumentParser, default="off") -> None:
-        cmd.add_argument("--sanitize", default=default,
-                         choices=SANITIZE_MODES,
-                         help="audit execution graphs against the C11 "
-                              "consistency axioms (sampled = every 10th "
-                              "trial); violations are reported as "
-                              "'inconsistent', never aborts")
-
-    def add_campaign_flags(cmd: argparse.ArgumentParser) -> None:
-        """The :class:`repro.service.jobs.JobSpec` flags shared by
-        ``campaign`` and ``job submit``.  Each flag's dest is the field it
-        sets, and a flag left out sets nothing, so the spec's own field
-        defaults apply."""
-        unset = argparse.SUPPRESS
-        cmd.add_argument("benchmark")
-        cmd.add_argument("--scheduler", default=unset)
-        cmd.add_argument("--trials", type=_positive_int, default=unset)
-        cmd.add_argument("--seed", type=_nonnegative_int, default=unset)
-        cmd.add_argument("--jobs", type=_positive_int, default=unset)
-        cmd.add_argument("--depth", type=int, default=unset)
-        cmd.add_argument("--history", type=int, default=unset)
-        cmd.add_argument("--max-steps", type=_positive_int, default=unset)
-        cmd.add_argument("--trial-timeout", type=_trial_timeout,
-                         default=unset, dest="trial_timeout_s",
-                         metavar="SECONDS",
-                         help="per-trial wall-clock budget; over-budget "
-                              "trials are recorded as timeouts, not hangs")
-        cmd.add_argument("--hang-timeout", type=_positive_float,
-                         default=unset, dest="hang_timeout_s",
-                         metavar="SECONDS",
-                         help="preemptive hang budget: a pool worker "
-                              "whose heartbeat stays stale this long is "
-                              "hard-killed and its shard retried "
-                              "(bit-identically); must exceed "
-                              "--trial-timeout")
-        cmd.add_argument("--memory-limit-mb", type=_positive_float,
-                         default=unset, metavar="MIB",
-                         help="soft per-worker RSS ceiling; workers above "
-                              "it are recycled without affecting results")
-        cmd.add_argument("--max-retries", type=_nonnegative_int,
-                         default=unset,
-                         help="retries per shard lost to a dead worker "
-                              "before degrading to in-process execution")
-        add_sanitize(cmd, unset)
-        add_model(cmd, unset)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--trials", type=_positive_int, default=100,
-                         help="runs per configuration (paper: 1000/500)")
-        cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-        cmd.add_argument("--benchmarks", nargs="*", default=None)
-        cmd.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes per campaign (1 = serial; "
-                              "results are identical for any value)")
-        add_sanitize(cmd)
+    def command(name: str, run, help_text: str, within=sub):
+        cmd = within.add_parser(name, help=help_text)
+        cmd.set_defaults(run=run)
         return cmd
 
-    add("table1", "benchmark characteristics (k, k_com, d)")
-    add("table2", "PCTWM hit rates for d, d+1, d+2")
-    add("table3", "PCTWM hit rates for h = 1..4")
-    t4 = sub.add_parser("table4", help="application performance overhead")
-    t4.add_argument("--runs", type=_positive_int, default=10)
-    t4.add_argument("--scale", type=_positive_int, default=1)
-    t4.add_argument("--seed", type=_nonnegative_int, default=0)
-    add("figure5", "highest hit rates: C11Tester vs PCT vs PCTWM")
-    add("figure6", "hit rate vs inserted relaxed writes")
-    everything = add("all", "run every table and figure")
-    everything.add_argument("--runs", type=_positive_int, default=10)
+    def add(name: str, help_text: str, *sections):
+        cmd = command(name, _print_sections(*sections), help_text)
+        cmd.add_argument("--trials", type=POSITIVE_INT, default=100,
+                         help="runs per configuration (paper: 1000/500)")
+        cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+        cmd.add_argument("--benchmarks", nargs="*", default=None)
+        cmd.add_argument("--jobs", type=POSITIVE_INT, default=1,
+                         help="worker processes per campaign (1 = serial; "
+                              "results are identical for any value)")
+        add_flags(cmd, JobSpec, ["sanitize"])
+        return cmd
 
-    depth_cmd = sub.add_parser(
-        "depth", help="estimate k, k_com and the empirical bug depth")
+    add("table1", "benchmark characteristics (k, k_com, d)", _table1)
+    add("table2", "PCTWM hit rates for d, d+1, d+2", _table2)
+    add("table3", "PCTWM hit rates for h = 1..4", _table3)
+    t4 = command("table4", _print_sections(_table4),
+                  "application performance overhead")
+    t4.add_argument("--runs", type=POSITIVE_INT, default=10)
+    t4.add_argument("--scale", type=POSITIVE_INT, default=1)
+    t4.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+    add("figure5", "highest hit rates: C11Tester vs PCT vs PCTWM", _figure5)
+    add("figure6", "hit rate vs inserted relaxed writes", _figure6)
+    everything = add("all", "run every table and figure", _table1, _table2,
+                     _table3, _table4, _figure5, _figure6)
+    everything.add_argument("--runs", type=POSITIVE_INT, default=10)
+
+    depth_cmd = command("depth", _cmd_depth,
+                        "estimate k, k_com and the empirical bug depth")
     depth_cmd.add_argument("benchmark")
-    depth_cmd.add_argument("--trials", type=_positive_int, default=150)
-    depth_cmd.add_argument("--max-depth", type=_positive_int, default=4)
-    depth_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
+    depth_cmd.add_argument("--trials", type=POSITIVE_INT, default=150)
+    depth_cmd.add_argument("--max-depth", type=POSITIVE_INT, default=4)
+    depth_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
 
-    hunt_cmd = sub.add_parser(
-        "hunt", help="find a bug with PCTWM and save a replayable trace")
+    hunt_cmd = command("hunt", _cmd_hunt,
+                       "find a bug with PCTWM and save a replayable trace")
     hunt_cmd.add_argument("benchmark")
-    hunt_cmd.add_argument("--attempts", type=_positive_int, default=1000)
-    hunt_cmd.add_argument("--depth", type=int, default=None)
-    hunt_cmd.add_argument("--history", type=int, default=None)
-    hunt_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
+    hunt_cmd.add_argument("--attempts", type=POSITIVE_INT, default=1000)
+    add_flags(hunt_cmd, JobSpec, ["depth", "history"])
+    hunt_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     hunt_cmd.add_argument("--out", default=None,
                           help="write the trace JSON here")
 
-    campaign_cmd = sub.add_parser(
-        "campaign",
-        help="run one hit-rate campaign, optionally sharded over workers")
+    campaign_cmd = command(
+        "campaign", _cmd_campaign,
+        "run one hit-rate campaign, optionally sharded over workers")
     add_campaign_flags(campaign_cmd)
     campaign_cmd.add_argument("--progress", action="store_true",
                               help="print per-shard progress to stderr")
@@ -211,37 +122,31 @@ def _build_parser() -> argparse.ArgumentParser:
                               choices=("fork", "spawn", "forkserver"),
                               help="multiprocessing start method "
                                    "(default: $REPRO_START_METHOD or fork)")
-    campaign_cmd.add_argument("--artifacts", default=argparse.SUPPRESS,
-                              dest="artifact_dir", metavar="DIR",
-                              help="write a replayable JSON artifact here "
-                                   "for every trial that finds a bug, "
-                                   "errors, times out, or is flagged "
-                                   "inconsistent")
+    add_campaign_flags(campaign_cmd, ["artifact_dir"])
 
-    serve_cmd = sub.add_parser(
-        "serve",
-        help="run the campaign-job daemon (local HTTP/JSON API)")
+    serve_cmd = command("serve", _cmd_serve,
+                        "run the campaign-job daemon (local HTTP/JSON API)")
     serve_cmd.add_argument("--state-dir", default=".repro-service",
                            metavar="DIR",
                            help="job records and checkpoint journals "
                                 "live here; restarting with the same "
                                 "dir resumes interrupted jobs")
     serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument("--port", type=_nonnegative_int, default=None,
+    serve_cmd.add_argument("--port", type=NONNEGATIVE_INT, default=None,
                            help="listen port (default 8642; 0 picks an "
                                 "ephemeral port, advertised in "
                                 "STATE_DIR/endpoint.json)")
-    serve_cmd.add_argument("--rate", type=_positive_float, default=2.0,
+    serve_cmd.add_argument("--rate", type=POSITIVE_FLOAT, default=2.0,
                            help="sustained job submissions accepted "
                                 "per second (token bucket)")
-    serve_cmd.add_argument("--burst", type=_positive_int, default=10,
+    serve_cmd.add_argument("--burst", type=POSITIVE_INT, default=10,
                            help="submission burst size before 429s")
     serve_cmd.add_argument("--start-method", default=None,
                            choices=("fork", "spawn", "forkserver"),
                            help="campaign pool start method (default: "
                                 "forkserver — the daemon holds HTTP "
                                 "threads, so fork is unsafe)")
-    serve_cmd.add_argument("--worker-budget", type=_positive_int,
+    serve_cmd.add_argument("--worker-budget", type=POSITIVE_INT,
                            default=None, metavar="N",
                            help="cap on a job's campaign pool workers; "
                                 "jobs run one at a time, each with "
@@ -254,14 +159,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "job", help="submit/inspect jobs on a running campaign daemon")
     job_sub = job_cmd.add_subparsers(dest="job_command", required=True)
 
-    def add_url(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--url", default=None,
-                         help="daemon base URL (default: "
-                              "$REPRO_SERVICE_URL or "
-                              "http://127.0.0.1:8642)")
+    def job(name: str, run, help_text: str):
+        return command(name, lambda args: run(ServiceClient(args.url), args),
+                       help_text, within=job_sub)
 
-    submit_cmd = job_sub.add_parser(
-        "submit", help="queue one campaign on the daemon")
+    submit_cmd = job("submit", _job_submit,
+                     "queue one campaign on the daemon")
     add_campaign_flags(submit_cmd)
     submit_cmd.add_argument("--wait", action="store_true",
                             help="block until the job finishes and "
@@ -271,60 +174,58 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="resubmitting the same key returns the "
                                  "existing job instead of a duplicate "
                                  "(default: auto-generated per submit)")
-    add_url(submit_cmd)
 
-    status_cmd = job_sub.add_parser(
-        "status", help="one job's record, or all jobs without an id")
+    status_cmd = job("status", _job_status,
+                     "one job's record, or all jobs without an id")
     status_cmd.add_argument("job_id", nargs="?", default=None)
-    add_url(status_cmd)
 
-    result_cmd = job_sub.add_parser(
-        "result", help="a finished job's result summary")
+    result_cmd = job("result", _job_result,
+                     "a finished job's result summary")
     result_cmd.add_argument("job_id")
     result_cmd.add_argument("--wait", action="store_true",
                             help="poll until the job finishes")
-    result_cmd.add_argument("--timeout", type=_positive_float,
+    result_cmd.add_argument("--timeout", type=POSITIVE_FLOAT,
                             default=None, metavar="SECONDS",
                             help="give up waiting after this long")
-    add_url(result_cmd)
 
-    cancel_cmd = job_sub.add_parser(
-        "cancel", help="cancel a queued or running job")
+    cancel_cmd = job("cancel", _job_cancel,
+                     "cancel a queued or running job")
     cancel_cmd.add_argument("job_id")
-    add_url(cancel_cmd)
 
-    drain_cmd = job_sub.add_parser(
-        "drain", help="ask the daemon to finish its current job, "
-                      "keep the queue, and exit")
-    add_url(drain_cmd)
+    job("drain", _job_drain,
+        "ask the daemon to finish its current job, keep the queue, and exit")
+    for cmd in job_sub.choices.values():
+        cmd.add_argument("--url", default=None,
+                         help="daemon base URL (default: "
+                              "$REPRO_SERVICE_URL or "
+                              "http://127.0.0.1:8642)")
 
-    litmus_cmd = sub.add_parser(
-        "litmus", help="run the litmus gallery under every scheduler")
-    litmus_cmd.add_argument("--trials", type=_positive_int, default=200)
-    litmus_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-    add_sanitize(litmus_cmd)
-    add_model(litmus_cmd)
+    litmus_cmd = command("litmus", _cmd_litmus,
+                         "run the litmus gallery under every scheduler")
+    litmus_cmd.add_argument("--trials", type=POSITIVE_INT, default=200)
+    litmus_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+    add_flags(litmus_cmd, JobSpec, ["sanitize", "model"])
 
-    fuzz_cmd = sub.add_parser(
-        "fuzz",
-        help="seeded program fuzzing: generate -> campaign -> shrink "
-             "-> corpus (deterministic for a given seed)")
-    fuzz_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-    fuzz_cmd.add_argument("--count", type=_positive_int, default=20,
+    fuzz_cmd = command(
+        "fuzz", _cmd_fuzz,
+        "seeded program fuzzing: generate -> campaign -> shrink "
+        "-> corpus (deterministic for a given seed)")
+    fuzz_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+    fuzz_cmd.add_argument("--count", type=POSITIVE_INT, default=20,
                           help="generated programs to campaign over")
-    fuzz_cmd.add_argument("--trials", type=_positive_int, default=100,
+    fuzz_cmd.add_argument("--trials", type=POSITIVE_INT, default=100,
                           help="campaign trials per generated program")
-    fuzz_cmd.add_argument("--probe-trials", type=_positive_int, default=16,
+    fuzz_cmd.add_argument("--probe-trials", type=POSITIVE_INT, default=16,
                           help="in-process probe runs per (d, h) candidate "
                                "during coverage steering")
     fuzz_cmd.add_argument("--scheduler", default="pctwm",
                           help="campaign scheduler; pctwm/pct get an "
                                "adaptive parameter search, others run "
                                "with defaults")
-    fuzz_cmd.add_argument("--jobs", type=_positive_int, default=1,
+    fuzz_cmd.add_argument("--jobs", type=POSITIVE_INT, default=1,
                           help="worker processes per campaign (output is "
                                "identical for any value)")
-    fuzz_cmd.add_argument("--budget", type=_positive_float, default=None,
+    fuzz_cmd.add_argument("--budget", type=POSITIVE_FLOAT, default=None,
                           metavar="SECONDS",
                           help="soft wall-clock cap, checked between "
                                "programs; a budgeted run may truncate the "
@@ -333,20 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--corpus-dir", default=None, metavar="DIR",
                           help="write minimized, replay-validated corpus "
                                "entries here (one JSON per finding)")
-    fuzz_cmd.add_argument("--max-threads", type=_positive_int, default=3)
-    fuzz_cmd.add_argument("--max-ops", type=_positive_int, default=6,
-                          help="per-thread operation bound (incl. any "
-                               "embedded oracle)")
-    fuzz_cmd.add_argument("--max-locations", type=_positive_int, default=4)
-    fuzz_cmd.add_argument("--profile", default="mixed",
-                          choices=("mixed", "determinate"),
-                          help="'determinate' generates race-free programs "
-                               "with an interleaving-invariant final state")
-    fuzz_cmd.add_argument("--oracle", default="auto",
-                          choices=("off", "auto", "always"),
-                          help="embed a message-passing assertion oracle")
-    fuzz_cmd.add_argument("--allow-nonatomic", action="store_true",
-                          help="generate non-atomic (racy) accesses too")
+    add_flags(fuzz_cmd, FuzzConfig, _FUZZ_FLAGS)
     fuzz_cmd.add_argument("--differential", default="none",
                           choices=("none", "engine", "model", "both"),
                           help="also sweep the generated seeds through "
@@ -357,10 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sanitize", default="sampled",
         choices=SANITIZE_MODES,
         help="campaign-trial consistency auditing (default: sampled)")
-    add_model(fuzz_cmd)
+    add_flags(fuzz_cmd, JobSpec, ["model"])
 
-    replay_cmd = sub.add_parser(
-        "replay", help="re-execute a bug artifact and verify the outcome")
+    replay_cmd = command("replay", _cmd_replay,
+                         "re-execute a bug artifact and verify the outcome")
     replay_cmd.add_argument("artifact", help="artifact JSON path (written "
                                              "by campaign --artifacts)")
     replay_cmd.add_argument("--minimize", action="store_true",
@@ -369,9 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument("--out", default=None, metavar="PATH",
                             help="write the minimized trace JSON here")
 
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="measure engine events/sec and write BENCH_engine.json")
+    bench_cmd = command(
+        "bench", _cmd_bench,
+        "measure engine events/sec and write BENCH_engine.json")
     bench_cmd.add_argument("--quick", action="store_true",
                            help="small batches for CI smoke runs")
     bench_cmd.add_argument("--check", action="store_true",
@@ -386,108 +274,117 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="PATH",
                            help="committed trajectory --check compares "
                                 "against")
-    bench_cmd.add_argument("--tolerance", type=_positive_float,
+    bench_cmd.add_argument("--tolerance", type=POSITIVE_FLOAT,
                            default=0.30,
                            help="allowed fractional slowdown for --check")
-    bench_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
+    bench_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     bench_cmd.add_argument("--model", default="all",
                            choices=("all", "c11", "tso"),
                            help="which memory-model engine cells to "
                                 "measure (default: all)")
 
-    report_cmd = sub.add_parser(
-        "report", help="regenerate the full evaluation as markdown")
-    report_cmd.add_argument("--trials", type=_positive_int, default=100)
-    report_cmd.add_argument("--runs", type=_positive_int, default=10)
-    report_cmd.add_argument("--seed", type=_nonnegative_int, default=0)
-    report_cmd.add_argument("--scale", type=_positive_int, default=1)
-    report_cmd.add_argument("--jobs", type=_positive_int, default=1)
+    report_cmd = command("report", _cmd_report,
+                         "regenerate the full evaluation as markdown")
+    report_cmd.add_argument("--trials", type=POSITIVE_INT, default=100)
+    report_cmd.add_argument("--runs", type=POSITIVE_INT, default=10)
+    report_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+    report_cmd.add_argument("--scale", type=POSITIVE_INT, default=1)
+    report_cmd.add_argument("--jobs", type=POSITIVE_INT, default=1)
     report_cmd.add_argument("--out", default="evaluation_report.md")
-    add_sanitize(report_cmd)
+    add_flags(report_cmd, JobSpec, ["sanitize"])
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  A daemon's refusal exits 2 and Ctrl-C 130 (only
+    a campaign with a checkpoint has a partial result to print first)."""
     args = _build_parser().parse_args(argv)
-    command = args.command
-    jobs = getattr(args, "jobs", 1)
-    if command == "depth":
-        return _cmd_depth(args)
-    if command == "hunt":
-        return _cmd_hunt(args)
-    if command == "campaign":
-        return _cmd_campaign(args)
-    if command == "serve":
-        return _cmd_serve(args)
-    if command == "job":
-        return _cmd_job(args)
-    if command == "litmus":
-        return _cmd_litmus(args)
-    if command == "fuzz":
-        return _cmd_fuzz(args)
-    if command == "replay":
-        return _cmd_replay(args)
-    if command == "bench":
-        from .bench import bench_command
+    try:
+        return args.run(args)
+    except ServiceError as exc:
+        print(f"error: {exc.message}")
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
-        out = args.out
-        if out is None and not args.check:
-            out = "BENCH_engine.json"
-        return bench_command(out=out, quick=args.quick, check=args.check,
-                             baseline_path=args.baseline, seed=args.seed,
-                             tolerance=args.tolerance, model=args.model)
-    if command == "report":
-        from .report import write_report
 
-        path = write_report(args.out, trials=args.trials, runs=args.runs,
-                            seed=args.seed, scale=args.scale, jobs=jobs,
-                            sanitize=args.sanitize)
-        print(f"report written to {path}")
+# -- tables and figures --------------------------------------------------------
+
+
+def _print_sections(*sections):
+    """A command printing each section, each followed by a blank line."""
+    def run(args) -> int:
+        for section in sections:
+            section(args)
+            print()
         return 0
-    if command in ("table1", "all"):
-        print("== Table 1: benchmark characteristics ==")
-        print(render_table1(table1(seed=args.seed)))
-        print()
-    sanitize = getattr(args, "sanitize", "off")
-    if command in ("table2", "all"):
-        print("== Table 2: hit rate vs bug depth ==")
-        print(render_table2(table2(trials=args.trials, seed=args.seed,
-                                   benchmarks=args.benchmarks, jobs=jobs,
-                                   sanitize=sanitize)))
-        print()
-    if command in ("table3", "all"):
-        print("== Table 3: hit rate vs history depth ==")
-        print(render_table3(table3(trials=args.trials, seed=args.seed,
-                                   benchmarks=args.benchmarks, jobs=jobs,
-                                   sanitize=sanitize)))
-        print()
-    if command in ("table4", "all"):
-        print("== Table 4: application performance ==")
-        runs = getattr(args, "runs", 10)
-        scale = getattr(args, "scale", 1)
-        print(render_table4(table4(runs=runs, seed=args.seed, scale=scale)))
-        print()
-    if command in ("figure5", "all"):
-        from .charts import bar_chart
+    return run
 
-        print("== Figure 5: highest observed hit rates ==")
-        bars = figure5(trials=args.trials, seed=args.seed,
-                       benchmarks=args.benchmarks, jobs=jobs)
-        print(render_figure5(bars))
-        print()
-        print(bar_chart(bars))
-        print()
-    if command in ("figure6", "all"):
-        from .charts import line_charts
 
-        print("== Figure 6: inserted relaxed writes ==")
-        series = figure6(trials=args.trials, seed=args.seed,
-                         benchmarks=args.benchmarks, jobs=jobs)
-        print(render_figure6(series))
+def _table1(args) -> None:
+    print("== Table 1: benchmark characteristics ==")
+    print(render_table1(table1(seed=args.seed)))
+
+
+def _table4(args) -> None:
+    print("== Table 4: application performance ==")
+    print(render_table4(table4(runs=args.runs, seed=args.seed,
+                               scale=getattr(args, "scale", 1))))
+
+
+def _sweep(heading: str, build, render):
+    """A table section sweeping one PCTWM parameter over benchmarks."""
+    def section(args) -> None:
+        print(f"== {heading} ==")
+        print(render(build(trials=args.trials, seed=args.seed,
+                           benchmarks=args.benchmarks, jobs=args.jobs,
+                           sanitize=args.sanitize)))
+    return section
+
+
+def _figure(heading: str, build, render, chart):
+    """A figure section: its numbers, then their ASCII chart."""
+    def section(args) -> None:
+        print(f"== {heading} ==")
+        data = build(trials=args.trials, seed=args.seed,
+                     benchmarks=args.benchmarks, jobs=args.jobs)
+        print(render(data))
         print()
-        print(line_charts(series))
-        print()
+        print(chart(data))
+    return section
+
+
+_table2 = _sweep("Table 2: hit rate vs bug depth", table2, render_table2)
+_table3 = _sweep("Table 3: hit rate vs history depth", table3, render_table3)
+_figure5 = _figure("Figure 5: highest observed hit rates", figure5,
+                   render_figure5, bar_chart)
+_figure6 = _figure("Figure 6: inserted relaxed writes", figure6,
+                   render_figure6, line_charts)
+
+
+def _cmd_bench(args) -> int:
+    from .bench import bench_command
+
+    out = args.out
+    if out is None and not args.check:
+        out = "BENCH_engine.json"
+    return bench_command(out=out, quick=args.quick, check=args.check,
+                         baseline_path=args.baseline, seed=args.seed,
+                         tolerance=args.tolerance, model=args.model)
+
+
+def _cmd_report(args) -> int:
+    from .report import write_report
+
+    path = write_report(args.out, trials=args.trials, runs=args.runs,
+                        seed=args.seed, scale=args.scale, jobs=args.jobs,
+                        sanitize=args.sanitize)
+    print(f"report written to {path}")
     return 0
+
+
+# -- other commands ------------------------------------------------------------
 
 
 def _cmd_depth(args) -> int:
@@ -508,23 +405,21 @@ def _cmd_depth(args) -> int:
 
 def _cmd_hunt(args) -> int:
     from ..analysis import format_trace
-    from ..core.depth import estimate_parameters
-    from ..core.pctwm import PCTWMScheduler
     from ..replay import find_and_record
-    from ..workloads import BENCHMARKS
 
-    info = BENCHMARKS[args.benchmark]
-    est = estimate_parameters(info.build(), runs=3, seed=args.seed)
-    depth = args.depth if args.depth is not None else info.measured_depth
-    history = args.history if args.history is not None \
-        else info.best_history
-    print(f"hunting {info.name} with PCTWM(d={depth}, k_com={est.k_com}, "
-          f"h={history})...")
-    found = find_and_record(
-        info.build,
-        lambda seed: PCTWMScheduler(depth, est.k_com, history, seed=seed),
-        max_attempts=args.attempts, base_seed=args.seed,
-    )
+    spec = JobSpec(args.benchmark, depth=args.depth, history=args.history,
+                   seed=args.seed)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
+    program, scheduler = resolve_factories(spec)
+    print(f"hunting {program.name} with PCTWM(d={scheduler.params['depth']}, "
+          f"k_com={scheduler.params['k_com']}, "
+          f"h={scheduler.params['history']})...")
+    found = find_and_record(program, scheduler, max_attempts=args.attempts,
+                            base_seed=args.seed)
     if found is None:
         print(f"no bug found in {args.attempts} attempts")
         return 1
@@ -540,10 +435,8 @@ def _cmd_hunt(args) -> int:
 
 
 def _args_to_job_spec(args):
-    """A validated-later :class:`repro.service.jobs.JobSpec` from CLI
-    campaign/submit arguments: the fields whose flags were given."""
-    from ..service.jobs import JobSpec
-
+    """A validated-later :class:`JobSpec` from CLI campaign/submit
+    arguments: the fields whose flags were given."""
     return JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)
                       if hasattr(args, f.name)})
 
@@ -569,9 +462,6 @@ def _cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    except KeyboardInterrupt:
-        print("interrupted before any trial completed")
-        return 130
     print(result)
     print(f"  hits={result.hits} inconclusive={result.inconclusive} "
           f"steps={result.total_steps} events={result.total_events} "
@@ -650,62 +540,55 @@ def _print_service_summary(health: dict) -> None:
 
 
 def _print_job_result(job: dict) -> int:
-    import json as _json
-
     print(_render_job(job))
     if job.get("result") is not None:
-        print(_json.dumps(job["result"], indent=2, sort_keys=True))
+        print(json.dumps(job["result"], indent=2, sort_keys=True))
     status = job["status"]
     if status == "done":
         return 0
     return 130 if status in ("cancelled", "interrupted") else 1
 
 
-def _cmd_job(args) -> int:
-    import json as _json
+def _job_submit(client, args) -> int:
+    spec = {k: v for k, v in _args_to_job_spec(args).to_dict().items()
+            if v is not None}
+    job = client.submit(spec, idempotency_key=args.idempotency_key)
+    print(_render_job(job))
+    if not args.wait:
+        return 0
+    return _print_job_result(client.wait(job["id"]))
 
-    from ..service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
-    try:
-        if args.job_command == "submit":
-            spec = {k: v for k, v in _args_to_job_spec(args)
-                    .to_dict().items() if v is not None}
-            job = client.submit(spec,
-                                idempotency_key=args.idempotency_key)
+def _job_status(client, args) -> int:
+    if args.job_id is None:
+        _print_service_summary(client.health())
+        jobs = client.list_jobs()
+        if not jobs:
+            print("no jobs")
+        for job in jobs:
             print(_render_job(job))
-            if not args.wait:
-                return 0
-            return _print_job_result(client.wait(job["id"]))
-        if args.job_command == "status":
-            if args.job_id is None:
-                _print_service_summary(client.health())
-                jobs = client.list_jobs()
-                if not jobs:
-                    print("no jobs")
-                for job in jobs:
-                    print(_render_job(job))
-                return 0
-            print(_json.dumps(client.status(args.job_id),
-                              indent=2, sort_keys=True))
-            return 0
-        if args.job_command == "result":
-            if args.wait:
-                return _print_job_result(
-                    client.wait(args.job_id, timeout_s=args.timeout))
-            return _print_job_result(client.status(args.job_id))
-        if args.job_command == "cancel":
-            print(_render_job(client.cancel(args.job_id)))
-            return 0
-        if args.job_command == "drain":
-            client.drain()
-            print("daemon draining: it will finish the current job, "
-                  "keep the queue, and exit")
-            return 0
-    except ServiceError as exc:
-        print(f"error: {exc.message}")
-        return 2
-    raise AssertionError(f"unhandled job command {args.job_command!r}")
+        return 0
+    print(json.dumps(client.status(args.job_id), indent=2, sort_keys=True))
+    return 0
+
+
+def _job_result(client, args) -> int:
+    if args.wait:
+        return _print_job_result(
+            client.wait(args.job_id, timeout_s=args.timeout))
+    return _print_job_result(client.status(args.job_id))
+
+
+def _job_cancel(client, args) -> int:
+    print(_render_job(client.cancel(args.job_id)))
+    return 0
+
+
+def _job_drain(client, args) -> int:
+    client.drain()
+    print("daemon draining: it will finish the current job, "
+          "keep the queue, and exit")
+    return 0
 
 
 def _cmd_litmus(args) -> int:
@@ -722,24 +605,15 @@ def _cmd_litmus(args) -> int:
     from .campaign import sanitize_this_trial
 
     model = resolve_model(args.model)
-    if model.name == "tso":
-        # The C11Tester baseline manipulates rf nondeterminism, which
-        # TSO does not have; POS takes its column.
-        columns = [
-            ("naive", lambda est: lambda s: NaiveRandomScheduler(seed=s)),
-            ("pos", lambda est: lambda s: POSScheduler(seed=s)),
-            ("pct", lambda est: lambda s: PCTScheduler(2, est.k, seed=s)),
-            ("pctwm",
-             lambda est: lambda s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
-        ]
-    else:
-        columns = [
-            ("naive", lambda est: lambda s: NaiveRandomScheduler(seed=s)),
-            ("c11tester", lambda est: lambda s: C11TesterScheduler(seed=s)),
-            ("pct", lambda est: lambda s: PCTScheduler(2, est.k, seed=s)),
-            ("pctwm",
-             lambda est: lambda s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
-        ]
+    # The C11Tester baseline manipulates rf nondeterminism, which TSO
+    # does not have; POS takes its column there.
+    baseline = POSScheduler if model.name == "tso" else C11TesterScheduler
+    columns = [
+        ("naive", lambda est, s: NaiveRandomScheduler(seed=s)),
+        (baseline.name, lambda est, s: baseline(seed=s)),
+        ("pct", lambda est, s: PCTScheduler(2, est.k, seed=s)),
+        ("pctwm", lambda est, s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
+    ]
     header = f"{'litmus':10s} " + " ".join(
         f"{label:>9s}" for label, _ in columns)
     print(f"model: {model.name}")
@@ -751,12 +625,11 @@ def _cmd_litmus(args) -> int:
         est = estimate_parameters(factory(), runs=3, seed=args.seed,
                                   model=model.name)
         rates = []
-        for _, make_factory in columns:
-            make = make_factory(est)
+        for _, make in columns:
             hits = 0
             for i in range(args.trials):
                 run = model.run_once(
-                    factory(), make(args.seed + i), keep_graph=False,
+                    factory(), make(est, args.seed + i), keep_graph=False,
                     sanitize=sanitize_this_trial(args.sanitize, i))
                 hits += run.bug_found
                 if run.inconsistent:
@@ -778,31 +651,15 @@ def _cmd_litmus(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    import sys
     import time as _time
 
-    from ..fuzz import (
-        FuzzConfig,
-        engine_divergences,
-        model_divergences,
-        run_fuzz,
-    )
+    from ..fuzz import engine_divergences, model_divergences, run_fuzz
     from .seeding import derive_trial_seed
 
-    try:
-        config = FuzzConfig(
-            min_threads=min(2, args.max_threads),
-            max_threads=args.max_threads,
-            min_ops=min(2, args.max_ops),
-            max_ops=args.max_ops,
-            max_locations=args.max_locations,
-            profile=args.profile,
-            oracle=args.oracle,
-            allow_nonatomic=args.allow_nonatomic,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # The flags hold each field within its declared bound; min_ops
+    # follows a --max-ops below its default.
+    config = FuzzConfig(min_ops=min(FuzzConfig.min_ops, args.max_ops),
+                        **{name: getattr(args, name) for name in _FUZZ_FLAGS})
     started = _time.monotonic()
     try:
         report = run_fuzz(
@@ -818,20 +675,12 @@ def _cmd_fuzz(args) -> int:
     print("\n".join(report.render()))
     status = 0
     seeds = [derive_trial_seed(args.seed, i) for i in range(args.count)]
-    if args.differential in ("engine", "both"):
-        divergences = engine_divergences(seeds, config,
-                                         dump_dir=args.corpus_dir)
-        print(f"differential engine: {len(divergences)} divergence(s) "
-              f"over {len(seeds)} seeds")
-        for record in divergences:
-            print(f"  {record['kind']} gen_seed={record['gen_seed']} "
-                  f"seed={record['seed']} model={record['model']}: "
-                  f"{record['detail']}")
-        status = status or (1 if divergences else 0)
-    if args.differential in ("model", "both"):
-        divergences = model_divergences(seeds, config,
-                                        dump_dir=args.corpus_dir)
-        print(f"differential model: {len(divergences)} divergence(s) "
+    for kind, sweep in (("engine", engine_divergences),
+                        ("model", model_divergences)):
+        if args.differential not in (kind, "both"):
+            continue
+        divergences = sweep(seeds, config, dump_dir=args.corpus_dir)
+        print(f"differential {kind}: {len(divergences)} divergence(s) "
               f"over {len(seeds)} seeds")
         for record in divergences:
             print(f"  {record['kind']} gen_seed={record['gen_seed']} "

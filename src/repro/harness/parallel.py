@@ -46,7 +46,8 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   ``resume=True`` skips already-journaled trials.  SIGINT *and SIGTERM*
   (what container orchestrators send) stop the campaign cleanly:
   completed work is journaled, an ``interrupt`` event is appended, and
-  the partial aggregates are returned with ``interrupted=True``.
+  the partial aggregates are returned with ``interrupted=True``; without
+  a checkpoint nothing could resume them, so the interrupt propagates.
 * **Wedged workers are preempted.**  ``trial_timeout_s`` is enforced
   cooperatively inside the step loop, so it cannot fire while a worker
   is stuck *outside* it (a factory wedged in native code, an OS stall).
@@ -740,7 +741,8 @@ def run_campaign_parallel(
     * ``checkpoint``/``resume`` — durable JSONL trial journal; see
       :mod:`repro.harness.checkpoint`.  On SIGINT *or SIGTERM* the
       journal is flushed, an ``interrupt`` event appended, and the
-      partial aggregates returned with ``interrupted=True``.
+      partial aggregates returned with ``interrupted=True``; without
+      one, ``KeyboardInterrupt`` propagates at any ``jobs``.
     * ``hang_timeout_s`` — supervisor-side preemptive hang budget: warm
       workers stamp a shared heartbeat per trial boundary, and a
       watchdog thread hard-kills any worker whose *busy* heartbeat goes
@@ -875,6 +877,10 @@ def run_campaign_parallel(
                         signal=term_seen.get("signal", "SIGINT"),
                         completed=accumulator.completed)
                 journal.close()
+        if supervisor.interrupted and journal is None:
+            # With nothing to resume from, partial counts would pass for
+            # a complete result; the pool is already torn down.
+            raise KeyboardInterrupt
 
         result.shard_times_s = [
             wall for _, wall in sorted(supervisor.shard_walls)]

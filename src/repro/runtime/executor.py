@@ -313,7 +313,7 @@ class Executor:
         if self.wall_timeout_s is not None:
             deadline = time.perf_counter() + self.wall_timeout_s
         # The hottest loop in the library: every per-step attribute lookup
-        # and call layer is hoisted or inlined (the former ``_step`` body
+        # and call layer is hoisted or inlined (one step's op dispatch
         # lives at the bottom of the loop).
         scheduler = self.scheduler
         choose_thread = scheduler.choose_thread
@@ -397,17 +397,6 @@ class Executor:
             result.graph = state.graph
 
     # -- single step ---------------------------------------------------------
-
-    def _step(self, state: ExecutionState, tid: int) -> None:
-        thread = state.threads[tid]
-        op = thread.pending
-        state.steps += 1
-        handler = self._DISPATCH.get(op.__class__)
-        if handler is None:
-            # Exotic op objects (e.g. an op subclass) fall back to the
-            # isinstance chain the dispatch table compiles away.
-            handler = self._dispatch_slow(op)
-        handler(self, state, thread, op)
 
     def _exec_yield(self, state: ExecutionState, thread: ThreadState,
                     op: YieldOp) -> None:
@@ -801,8 +790,9 @@ class Executor:
                 f"{self.program.name!r}"
             )
 
-    #: Exact-type op dispatch (plain functions: ``_step`` passes ``self``
-    #: explicitly).  Subclassed ops fall back to ``_dispatch_slow``.
+    #: Exact-type op dispatch (plain functions: ``_loop`` passes ``self``
+    #: explicitly).  Subclassed ops fall back to ``_dispatch_slow``, the
+    #: isinstance chain this table compiles away.
     _DISPATCH = {
         YieldOp: _exec_yield,
         JoinOp: _exec_join,

@@ -29,11 +29,21 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
+from ..core.factory import SCHEDULER_REGISTRY
 from ..harness.campaign import (
     SANITIZE_MODES,
     TRIAL_TIMEOUT_MIN_S,
     CampaignResult,
     TrialConfig,
+)
+from ..harness.options import (
+    NONNEGATIVE_INT,
+    POSITIVE_FLOAT,
+    POSITIVE_INT,
+    Bound,
+    Choice,
+    check_fields,
+    option,
 )
 from ..harness.parallel import (
     CampaignProgress,
@@ -42,6 +52,7 @@ from ..harness.parallel import (
 )
 from ..harness.watchdog import WatchdogStats
 from ..memory.model import available_models, resolve_model
+from ..workloads import BENCHMARKS
 
 __all__ = [
     "JobSpec",
@@ -58,23 +69,64 @@ _RETIRED_RECORD_MODES = ("on_failure", "always")
 
 @dataclass
 class JobSpec:
-    """One campaign request; every field round-trips through JSON."""
+    """One campaign request; every field round-trips through JSON.
 
-    benchmark: str
-    scheduler: str = "pctwm"
-    trials: int = 100
-    seed: int = TrialConfig.base_seed
-    jobs: int = 1
-    depth: Optional[int] = None
-    history: Optional[int] = None
-    max_steps: int = TrialConfig.max_steps
-    trial_timeout_s: Optional[float] = None
-    hang_timeout_s: Optional[float] = None
-    memory_limit_mb: Optional[float] = None
-    max_retries: int = 2
-    sanitize: str = TrialConfig.sanitize
-    model: str = TrialConfig.model
-    artifact_dir: Optional[str] = None
+    Each field is declared once (:mod:`repro.harness.options`); the
+    ``campaign``/``job submit`` flags and :meth:`validate` read it.
+    """
+
+    benchmark: str = option(
+        rule=Choice("benchmark", BENCHMARKS, listed=False),
+        help="benchmark program to test")
+    scheduler: str = option(
+        "pctwm", Choice("scheduler", SCHEDULER_REGISTRY, listed=False),
+        help="scheduler under test, by registry name")
+    trials: int = option(100, POSITIVE_INT, help="trials to run")
+    seed: int = option(TrialConfig.base_seed, NONNEGATIVE_INT,
+                       help="base of the per-trial seeds")
+    jobs: int = option(1, POSITIVE_INT,
+                       help="worker processes; results do not depend on it")
+    depth: Optional[int] = option(
+        None, NONNEGATIVE_INT,
+        help="PCTWM bug depth d (default: the benchmark's calibrated one)")
+    history: Optional[int] = option(
+        None, POSITIVE_INT,
+        help="PCTWM history depth h (default: the benchmark's best)")
+    max_steps: int = option(TrialConfig.max_steps, POSITIVE_INT,
+                            help="step budget per trial")
+    trial_timeout_s: Optional[float] = option(
+        None, Bound(float, TRIAL_TIMEOUT_MIN_S,
+                    why=" (one scheduler-step quantum)"),
+        flag="--trial-timeout", metavar="SECONDS",
+        help="per-trial wall-clock budget; over-budget trials are "
+             "recorded as timeouts, not hangs")
+    hang_timeout_s: Optional[float] = option(
+        None, POSITIVE_FLOAT, flag="--hang-timeout", metavar="SECONDS",
+        help="preemptive hang budget: a pool worker whose heartbeat stays "
+             "stale this long is hard-killed and its shard retried "
+             "(bit-identically); must exceed --trial-timeout")
+    memory_limit_mb: Optional[float] = option(
+        None, POSITIVE_FLOAT, metavar="MIB",
+        help="soft per-worker RSS ceiling; workers above it are recycled "
+             "without affecting results")
+    max_retries: int = option(
+        2, NONNEGATIVE_INT,
+        help="retries per shard lost to a dead worker before degrading "
+             "to in-process execution")
+    sanitize: str = option(
+        TrialConfig.sanitize, Choice("sanitize mode", SANITIZE_MODES),
+        help="audit execution graphs against the C11 consistency axioms "
+             "(sampled = every 10th trial); violations are reported as "
+             "'inconsistent', never aborts")
+    model: str = option(
+        TrialConfig.model, Choice("model", available_models()),
+        help="memory-model backend to execute under (default: the C11 "
+             "axiomatic engine; 'tso' runs the x86-TSO store-buffer "
+             "backend)")
+    artifact_dir: Optional[str] = option(
+        None, flag="--artifacts", metavar="DIR",
+        help="write a replayable JSON artifact here for every trial that "
+             "finds a bug, errors, times out, or is flagged inconsistent")
 
     #: A ``record_mode`` value :meth:`from_dict` could not drop, kept for
     #: :meth:`validate` to reject.  Not a field, so never serialized.
@@ -92,8 +144,7 @@ class JobSpec:
             raise ValueError("job spec must be a JSON object")
         obj = dict(obj)
         record_mode = obj.pop("record_mode", None)
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = sorted(set(obj) - known)
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(
                 f"unknown job spec field(s): {', '.join(unknown)}")
@@ -109,54 +160,18 @@ class JobSpec:
         return asdict(self)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on any invalid field.
-
-        Messages match what ``python -m repro campaign`` has always
-        printed for the registry checks, so CLI output stays stable now
-        that both paths share this method.
-        """
-        from ..core.factory import SCHEDULER_REGISTRY
-        from ..workloads import BENCHMARKS
-
-        if self.scheduler not in SCHEDULER_REGISTRY:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; known: "
-                + ", ".join(sorted(SCHEDULER_REGISTRY)))
-        if self.model not in available_models():
-            raise ValueError(
-                f"unknown model {self.model!r}; known: "
-                + ", ".join(available_models()))
+        """Raise ``ValueError`` on any invalid field: each against its
+        declaration (type first), then the rules that span fields.  The
+        CLI and the daemon both call this, so their messages match."""
+        check_fields(self)
         model = resolve_model(self.model)
         if not model.supports_scheduler(self.scheduler):
             raise ValueError(
                 f"scheduler {self.scheduler!r} is not supported under the "
                 f"{model.name} memory model; supported: "
                 + ", ".join(model.scheduler_allowlist))
-        if self.benchmark not in BENCHMARKS:
-            raise ValueError(
-                f"unknown benchmark {self.benchmark!r}; known: "
-                + ", ".join(sorted(BENCHMARKS)))
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError("trials must be an integer >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ValueError("jobs must be an integer >= 1")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
-            raise ValueError("max_steps must be an integer >= 1")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValueError("max_retries must be an integer >= 0")
-        if self.trial_timeout_s is not None \
-                and self.trial_timeout_s < TRIAL_TIMEOUT_MIN_S:
-            raise ValueError(
-                f"trial_timeout_s must be >= {TRIAL_TIMEOUT_MIN_S} "
-                f"(one scheduler-step quantum)")
         check_watchdog_limits(self.trial_timeout_s, self.hang_timeout_s,
                               self.memory_limit_mb)
-        if self.sanitize not in SANITIZE_MODES:
-            raise ValueError(
-                f"unknown sanitize mode {self.sanitize!r}; known: "
-                + ", ".join(SANITIZE_MODES))
         if self._bad_record_mode is not None:
             raise ValueError(
                 f"unknown record mode {self._bad_record_mode!r}; the "
@@ -242,6 +257,14 @@ def run_job(spec: JobSpec,
     )
 
 
+#: The :class:`CampaignResult` attributes a job's result summary copies.
+_SUMMARY_FIELDS = (
+    "program", "scheduler", "trials", "completed", "hits", "inconclusive",
+    "total_steps", "total_events", "errors", "timeouts", "inconsistent",
+    "interrupted", "resumed_trials", "jobs", "hang_preemptions",
+    "rss_recycles")
+
+
 def result_summary(result: CampaignResult) -> dict:
     """JSON projection of a campaign result for job records and HTTP.
 
@@ -249,24 +272,8 @@ def result_summary(result: CampaignResult) -> dict:
     not the bounded per-trial samples, which are a post-mortem aid the
     journal already holds in full.
     """
-    return {
-        "program": result.program,
-        "scheduler": result.scheduler,
-        "trials": result.trials,
-        "completed": result.completed,
-        "hits": result.hits,
-        "hit_rate_pct": round(result.hit_rate, 3),
-        "inconclusive": result.inconclusive,
-        "total_steps": result.total_steps,
-        "total_events": result.total_events,
-        "errors": result.errors,
-        "timeouts": result.timeouts,
-        "inconsistent": result.inconsistent,
-        "interrupted": result.interrupted,
-        "resumed_trials": result.resumed_trials,
-        "elapsed_s": round(result.elapsed_s, 3),
-        "jobs": result.jobs,
-        "hang_preemptions": result.hang_preemptions,
-        "rss_recycles": result.rss_recycles,
-        "artifacts": list(result.artifacts),
-    }
+    summary = {name: getattr(result, name) for name in _SUMMARY_FIELDS}
+    summary.update(hit_rate_pct=round(result.hit_rate, 3),
+                   elapsed_s=round(result.elapsed_s, 3),
+                   artifacts=list(result.artifacts))
+    return summary

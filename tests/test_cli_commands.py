@@ -1,7 +1,10 @@
 """CLI coverage for the remaining subcommands."""
 
+import argparse
 import dataclasses
 from dataclasses import fields
+
+import pytest
 
 from repro.harness.cli import _args_to_job_spec, _build_parser, main
 from repro.service.jobs import JobSpec
@@ -85,3 +88,80 @@ class TestJobSpecFlags:
     def test_absent_flags_leave_the_spec_defaults(self):
         for argv in (["campaign", "dekker"], ["job", "submit", "dekker"]):
             assert _args_to_job_spec(parse(*argv)) == JobSpec("dekker")
+
+
+#: An out-of-range value for every JobSpec field with a bound or choice
+#: set, and the campaign argv that gives it.  artifact_dir takes any path.
+OUT_OF_RANGE = {
+    "benchmark": ("nosuchbench", ["nosuchbench"]),
+    "scheduler": ("bogus", ["dekker", "--scheduler", "bogus"]),
+    "trials": (0, ["dekker", "--trials", "0"]),
+    "seed": (-1, ["dekker", "--seed", "-1"]),
+    "jobs": (0, ["dekker", "--jobs", "0"]),
+    "depth": (-1, ["dekker", "--depth", "-1"]),
+    "history": (0, ["dekker", "--history", "0"]),
+    "max_steps": (0, ["dekker", "--max-steps", "0"]),
+    "trial_timeout_s": (0.0005, ["dekker", "--trial-timeout", "0.0005"]),
+    "hang_timeout_s": (0.0, ["dekker", "--hang-timeout", "0"]),
+    "memory_limit_mb": (-1.0, ["dekker", "--memory-limit-mb", "-1"]),
+    "max_retries": (-1, ["dekker", "--max-retries", "-1"]),
+    "sanitize": ("loud", ["dekker", "--sanitize", "loud"]),
+    "model": ("sc", ["dekker", "--model", "sc"]),
+}
+
+
+def exit_code(argv):
+    """``main``'s status, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestDeclaredOptions:
+    """The CLI and JobSpec.validate read one declaration, so they reject
+    the same values."""
+
+    def test_every_ranged_field_is_covered(self):
+        assert set(OUT_OF_RANGE) == FIELDS - {"artifact_dir"}
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+    def test_cli_and_validate_reject_the_same_value(self, name, capsys):
+        value, argv = OUT_OF_RANGE[name]
+        spec = dataclasses.replace(JobSpec("dekker"), **{name: value})
+        with pytest.raises(ValueError, match=name):
+            spec.validate()
+        assert exit_code(["campaign", *argv]) == 2
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["hunt", "dekker", "--depth", "-2"], "must be >= 0"),
+        (["hunt", "dekker", "--history", "0"], "must be >= 1"),
+        (["fuzz", "--max-threads", "1"], "must be >= 2"),
+        (["fuzz", "--profile", "chaotic"], "invalid choice"),
+    ])
+    def test_other_commands_share_the_bounds(self, argv, fragment, capsys):
+        assert exit_code(argv) == 2
+        assert fragment in capsys.readouterr().err
+
+
+def subcommands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, cmd in action.choices.items():
+                yield prefix + (name,)
+                yield from subcommands(cmd, prefix + (name,))
+
+
+@pytest.mark.parametrize("path", list(subcommands(_build_parser())),
+                         ids=" ".join)
+def test_help(path, capsys):
+    assert exit_code([*path, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: python -m repro")
+
+
+def test_interrupt_exits_130(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.harness.cli._cmd_campaign", interrupted)
+    assert main(["campaign", "dekker"]) == 130

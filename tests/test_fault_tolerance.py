@@ -421,6 +421,17 @@ class TestCheckpointResume:
                 serial.total_events)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_without_checkpoint_raises(self, jobs):
+        """With nothing durable to resume from, an interrupted campaign
+        raises at any jobs instead of passing partial counts off as a
+        result."""
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign_parallel(
+                ProgramSpec("SB", kind="litmus"), SchedulerSpec("naive"),
+                trials=48, base_seed=11, jobs=jobs,
+                progress=InterruptAfterShards(1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_resume_from_journal_with_operations(self, tmp_path, jobs):
         """Journals whose trial lines carry the retired ``operations``
         count, CRC-stamped over it as their writer did, resume exactly."""

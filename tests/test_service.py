@@ -81,6 +81,19 @@ class TestJobSpec:
         ({"trial_timeout_s": 5.0, "hang_timeout_s": 5.0}, "must exceed"),
         ({"sanitize": "loud"}, "sanitize"),
         ({"record_mode": "sometimes"}, "record mode"),
+        # Malformed types and out-of-range d/h: ValueError (so POST /jobs
+        # answers 400), never TypeError, and never accepted.
+        ({"scheduler": ["pctwm"]}, "scheduler"),
+        ({"benchmark": ["dekker"]}, "benchmark"),
+        ({"hang_timeout_s": "30"}, "hang_timeout_s"),
+        ({"memory_limit_mb": "512"}, "memory_limit_mb"),
+        ({"trial_timeout_s": "5"}, "trial_timeout_s"),
+        ({"depth": "2"}, "depth"),
+        ({"history": "2"}, "history"),
+        ({"trials": True}, "trials"),
+        ({"artifact_dir": 7}, "artifact_dir"),
+        ({"depth": -2}, "depth"),
+        ({"history": 0}, "history"),
     ])
     def test_validate_rejects(self, overrides, fragment):
         spec = JobSpec.from_dict(spec_dict(**overrides))
@@ -502,6 +515,23 @@ class TestHttpApi:
             client.submit(spec_dict(benchmark="nonesuch"))
         assert excinfo.value.code == 400
         assert "unknown benchmark" in excinfo.value.message
+
+    def test_malformed_field_400_is_not_retried(self, api, monkeypatch):
+        daemon, client = api
+        calls = []
+        request_once = client._request_once
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return request_once(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_request_once", counted)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"benchmark": "dekker", "scheduler": ["x"]})
+        assert excinfo.value.code == 400
+        assert "scheduler must be a string" in excinfo.value.message
+        assert len(calls) == 1
+        assert daemon.queue.list_jobs() == []
 
     def test_malformed_body_400(self, api):
         daemon, client = api
