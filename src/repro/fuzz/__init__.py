@@ -8,58 +8,32 @@ picklable, replayable, and campaign-compatible exactly like the
 hand-written workloads.  The driver steers campaigns by behavioural
 coverage (distinct signatures, rf/mo shapes, weak reads) and funnels
 findings through the ddmin minimizers into a regression corpus.
+
+Each name below loads its submodule on first use, so importing
+:mod:`~repro.fuzz.generator` alone (as the CLI does to declare its
+flags) does not load the driver, corpus and shrinker.
 """
 
-from .corpus import (
-    CORPUS_VERSION,
-    corpus_files,
-    load_entry,
-    replay_entry,
-    save_entry,
-)
-from .driver import (
-    FuzzProgramReport,
-    FuzzReport,
-    engine_divergences,
-    model_divergences,
-    run_fuzz,
-    write_divergence,
-)
-from .generator import (
-    FuzzConfig,
-    build_plan_program,
-    expected_final_memory,
-    fuzz_program,
-    generate_spec,
-    plan_is_determinate,
-    plan_program,
-    plan_spec,
-    plan_stats,
-    plan_step_bound,
-)
-from .shrink import ShrunkFinding, shrink_plan
+import importlib
 
-__all__ = [
-    "CORPUS_VERSION",
-    "FuzzConfig",
-    "FuzzProgramReport",
-    "FuzzReport",
-    "ShrunkFinding",
-    "build_plan_program",
-    "corpus_files",
-    "engine_divergences",
-    "expected_final_memory",
-    "fuzz_program",
-    "generate_spec",
-    "load_entry",
-    "model_divergences",
-    "plan_is_determinate",
-    "plan_program",
-    "plan_spec",
-    "plan_stats",
-    "plan_step_bound",
-    "replay_entry",
-    "run_fuzz",
-    "save_entry",
-    "shrink_plan",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {name: module for module, names in {
+    "corpus": ("CORPUS_VERSION", "corpus_files", "load_entry",
+               "replay_entry", "save_entry"),
+    "driver": ("FuzzProgramReport", "FuzzReport", "engine_divergences",
+               "model_divergences", "run_fuzz", "write_divergence"),
+    "generator": ("FuzzConfig", "build_plan_program",
+                  "expected_final_memory", "fuzz_program", "generate_spec",
+                  "plan_is_determinate", "plan_program", "plan_spec",
+                  "plan_stats", "plan_step_bound"),
+    "shrink": ("ShrunkFinding", "shrink_plan"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                   name)

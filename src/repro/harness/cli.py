@@ -20,7 +20,6 @@ from dataclasses import fields
 from typing import List, Optional
 
 from ..fuzz.generator import FuzzConfig
-from ..service.client import ServiceClient, ServiceError
 from ..service.jobs import JobSpec, resolve_factories
 from .campaign import SANITIZE_MODES
 from .charts import bar_chart, line_charts
@@ -160,8 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     job_sub = job_cmd.add_subparsers(dest="job_command", required=True)
 
     def job(name: str, run, help_text: str):
-        return command(name, lambda args: run(ServiceClient(args.url), args),
-                       help_text, within=job_sub)
+        return command(name, _with_client(run), help_text, within=job_sub)
 
     submit_cmd = job("submit", _job_submit,
                      "queue one campaign on the daemon")
@@ -296,14 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command.  A daemon's refusal exits 2 and Ctrl-C 130 (only
-    a campaign with a checkpoint has a partial result to print first)."""
+    """Run one command.  Ctrl-C exits 130 (only a campaign with a
+    checkpoint has a partial result to print first)."""
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ServiceError as exc:
-        print(f"error: {exc.message}")
-        return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
@@ -549,6 +544,20 @@ def _print_job_result(job: dict) -> int:
     return 130 if status in ("cancelled", "interrupted") else 1
 
 
+def _with_client(run):
+    """A ``job`` subcommand: ``run(client, args)`` against the daemon at
+    ``--url``; a daemon's refusal exits 2."""
+    def handler(args) -> int:
+        from ..service.client import ServiceClient, ServiceError
+
+        try:
+            return run(ServiceClient(args.url), args)
+        except ServiceError as exc:
+            print(f"error: {exc.message}")
+            return 2
+    return handler
+
+
 def _job_submit(client, args) -> int:
     spec = {k: v for k, v in _args_to_job_spec(args).to_dict().items()
             if v is not None}
@@ -605,15 +614,24 @@ def _cmd_litmus(args) -> int:
     from .campaign import sanitize_this_trial
 
     model = resolve_model(args.model)
-    # The C11Tester baseline manipulates rf nondeterminism, which TSO
-    # does not have; POS takes its column there.
-    baseline = POSScheduler if model.name == "tso" else C11TesterScheduler
-    columns = [
-        ("naive", lambda est, s: NaiveRandomScheduler(seed=s)),
-        (baseline.name, lambda est, s: baseline(seed=s)),
-        ("pct", lambda est, s: PCTScheduler(2, est.k, seed=s)),
-        ("pctwm", lambda est, s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
-    ]
+    if model.name == "tso":
+        # The C11Tester baseline manipulates rf nondeterminism, which
+        # TSO does not have; POS takes its column.
+        columns = [
+            ("naive", lambda est: lambda s: NaiveRandomScheduler(seed=s)),
+            ("pos", lambda est: lambda s: POSScheduler(seed=s)),
+            ("pct", lambda est: lambda s: PCTScheduler(2, est.k, seed=s)),
+            ("pctwm",
+             lambda est: lambda s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
+        ]
+    else:
+        columns = [
+            ("naive", lambda est: lambda s: NaiveRandomScheduler(seed=s)),
+            ("c11tester", lambda est: lambda s: C11TesterScheduler(seed=s)),
+            ("pct", lambda est: lambda s: PCTScheduler(2, est.k, seed=s)),
+            ("pctwm",
+             lambda est: lambda s: PCTWMScheduler(2, est.k_com, 2, seed=s)),
+        ]
     header = f"{'litmus':10s} " + " ".join(
         f"{label:>9s}" for label, _ in columns)
     print(f"model: {model.name}")
@@ -625,11 +643,12 @@ def _cmd_litmus(args) -> int:
         est = estimate_parameters(factory(), runs=3, seed=args.seed,
                                   model=model.name)
         rates = []
-        for _, make in columns:
+        for _, make_factory in columns:
+            make = make_factory(est)
             hits = 0
             for i in range(args.trials):
                 run = model.run_once(
-                    factory(), make(est, args.seed + i), keep_graph=False,
+                    factory(), make(args.seed + i), keep_graph=False,
                     sanitize=sanitize_this_trial(args.sanitize, i))
                 hits += run.bug_found
                 if run.inconsistent:
@@ -675,12 +694,20 @@ def _cmd_fuzz(args) -> int:
     print("\n".join(report.render()))
     status = 0
     seeds = [derive_trial_seed(args.seed, i) for i in range(args.count)]
-    for kind, sweep in (("engine", engine_divergences),
-                        ("model", model_divergences)):
-        if args.differential not in (kind, "both"):
-            continue
-        divergences = sweep(seeds, config, dump_dir=args.corpus_dir)
-        print(f"differential {kind}: {len(divergences)} divergence(s) "
+    if args.differential in ("engine", "both"):
+        divergences = engine_divergences(seeds, config,
+                                         dump_dir=args.corpus_dir)
+        print(f"differential engine: {len(divergences)} divergence(s) "
+              f"over {len(seeds)} seeds")
+        for record in divergences:
+            print(f"  {record['kind']} gen_seed={record['gen_seed']} "
+                  f"seed={record['seed']} model={record['model']}: "
+                  f"{record['detail']}")
+        status = status or (1 if divergences else 0)
+    if args.differential in ("model", "both"):
+        divergences = model_divergences(seeds, config,
+                                        dump_dir=args.corpus_dir)
+        print(f"differential model: {len(divergences)} divergence(s) "
               f"over {len(seeds)} seeds")
         for record in divergences:
             print(f"  {record['kind']} gen_seed={record['gen_seed']} "

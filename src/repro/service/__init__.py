@@ -5,24 +5,27 @@
 :class:`~repro.service.client.ServiceClient`.  Specs, queueing, and the
 HTTP surface live in :mod:`~repro.service.jobs`,
 :mod:`~repro.service.queue`, and :mod:`~repro.service.api`.
+
+Each name below loads its submodule on first use, so importing
+:mod:`~repro.service.jobs` alone (as the CLI does to declare its flags)
+does not load the HTTP client and daemon.
 """
 
-from .client import DEFAULT_URL, ServiceClient, ServiceError
-from .daemon import DEFAULT_PORT, CampaignDaemon, IdempotencyConflict
-from .jobs import JobSpec, result_summary, run_job
-from .queue import Job, JobQueue, TokenBucket
+import importlib
 
-__all__ = [
-    "CampaignDaemon",
-    "DEFAULT_PORT",
-    "DEFAULT_URL",
-    "IdempotencyConflict",
-    "Job",
-    "JobQueue",
-    "JobSpec",
-    "ServiceClient",
-    "ServiceError",
-    "TokenBucket",
-    "result_summary",
-    "run_job",
-]
+#: Public name -> the submodule defining it.
+_EXPORTS = {name: module for module, names in {
+    "client": ("DEFAULT_URL", "ServiceClient", "ServiceError"),
+    "daemon": ("DEFAULT_PORT", "CampaignDaemon", "IdempotencyConflict"),
+    "jobs": ("JobSpec", "result_summary", "run_job"),
+    "queue": ("Job", "JobQueue", "TokenBucket"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                   name)

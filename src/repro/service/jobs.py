@@ -257,14 +257,6 @@ def run_job(spec: JobSpec,
     )
 
 
-#: The :class:`CampaignResult` attributes a job's result summary copies.
-_SUMMARY_FIELDS = (
-    "program", "scheduler", "trials", "completed", "hits", "inconclusive",
-    "total_steps", "total_events", "errors", "timeouts", "inconsistent",
-    "interrupted", "resumed_trials", "jobs", "hang_preemptions",
-    "rss_recycles")
-
-
 def result_summary(result: CampaignResult) -> dict:
     """JSON projection of a campaign result for job records and HTTP.
 
@@ -272,8 +264,24 @@ def result_summary(result: CampaignResult) -> dict:
     not the bounded per-trial samples, which are a post-mortem aid the
     journal already holds in full.
     """
-    summary = {name: getattr(result, name) for name in _SUMMARY_FIELDS}
-    summary.update(hit_rate_pct=round(result.hit_rate, 3),
-                   elapsed_s=round(result.elapsed_s, 3),
-                   artifacts=list(result.artifacts))
-    return summary
+    return {
+        "program": result.program,
+        "scheduler": result.scheduler,
+        "trials": result.trials,
+        "completed": result.completed,
+        "hits": result.hits,
+        "hit_rate_pct": round(result.hit_rate, 3),
+        "inconclusive": result.inconclusive,
+        "total_steps": result.total_steps,
+        "total_events": result.total_events,
+        "errors": result.errors,
+        "timeouts": result.timeouts,
+        "inconsistent": result.inconsistent,
+        "interrupted": result.interrupted,
+        "resumed_trials": result.resumed_trials,
+        "elapsed_s": round(result.elapsed_s, 3),
+        "jobs": result.jobs,
+        "hang_preemptions": result.hang_preemptions,
+        "rss_recycles": result.rss_recycles,
+        "artifacts": list(result.artifacts),
+    }

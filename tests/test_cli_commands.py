@@ -2,6 +2,9 @@
 
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -165,3 +168,18 @@ def test_interrupt_exits_130(monkeypatch, capsys):
 
     monkeypatch.setattr("repro.harness.cli._cmd_campaign", interrupted)
     assert main(["campaign", "dekker"]) == 130
+
+
+def test_parser_loads_only_the_declarations():
+    """Declaring the flags imports ``jobs.py`` and ``generator.py``, not
+    the rest of their packages, which every command would pay for."""
+    code = ("import sys; from repro.harness.cli import _build_parser; "
+            "_build_parser(); print(' '.join(sorted(sys.modules)))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    ).stdout.split()
+    for module in ("repro.service.client", "repro.service.daemon",
+                   "repro.fuzz.driver", "repro.fuzz.corpus"):
+        assert module not in loaded

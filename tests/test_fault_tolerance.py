@@ -167,6 +167,21 @@ class InterruptAfterShards:
             raise KeyboardInterrupt
 
 
+class InterruptOnCall:
+    """Program factory that simulates an operator SIGINT on its Nth call,
+    part-way through a serial campaign."""
+
+    def __init__(self, calls: int):
+        self.interrupt_at = calls
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls >= self.interrupt_at:
+            raise KeyboardInterrupt
+        return store_buffering()
+
+
 # -- trial containment ---------------------------------------------------------
 
 
@@ -420,16 +435,23 @@ class TestCheckpointResume:
             == (serial.hits, serial.inconclusive, serial.total_steps,
                 serial.total_events)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_interrupt_without_checkpoint_raises(self, jobs):
-        """With nothing durable to resume from, an interrupted campaign
-        raises at any jobs instead of passing partial counts off as a
+    def test_interrupt_without_checkpoint_raises(self):
+        """With nothing durable to resume from, an interrupted sharded
+        campaign raises instead of passing partial counts off as a
         result."""
         with pytest.raises(KeyboardInterrupt):
             run_campaign_parallel(
                 ProgramSpec("SB", kind="litmus"), SchedulerSpec("naive"),
-                trials=48, base_seed=11, jobs=jobs,
+                trials=48, base_seed=11, jobs=2,
                 progress=InterruptAfterShards(1))
+
+    def test_serial_interrupt_without_checkpoint_raises(self):
+        """The serial path stops mid-campaign and raises too."""
+        program = InterruptOnCall(10)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign_parallel(program, SchedulerSpec("naive"),
+                                  trials=48, base_seed=11, jobs=1)
+        assert program.calls == 10
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resume_from_journal_with_operations(self, tmp_path, jobs):
