@@ -9,9 +9,8 @@ hand-written workloads.  The driver steers campaigns by behavioural
 coverage (distinct signatures, rf/mo shapes, weak reads) and funnels
 findings through the ddmin minimizers into a regression corpus.
 
-Each name below loads its submodule on first use, so importing
-:mod:`~repro.fuzz.generator` alone (as the CLI does to declare its
-flags) does not load the driver, corpus and shrinker.
+Each name loads its submodule on first use: the CLI's flags need
+:mod:`~repro.fuzz.generator`, not the driver, corpus and shrinker.
 """
 
 import importlib

@@ -36,8 +36,7 @@ from .tables import (
     table4,
 )
 
-#: The :class:`JobSpec` flags of ``campaign`` and ``job submit``; only
-#: ``campaign`` takes ``--artifacts``, a path on its own file system.
+#: ``campaign``/``job submit`` flags; only ``campaign`` takes a local path.
 _JOB_FLAGS = tuple(f.name for f in fields(JobSpec) if f.name != "artifact_dir")
 
 #: The :class:`FuzzConfig` fields ``fuzz`` takes as flags.
@@ -159,7 +158,15 @@ def _build_parser() -> argparse.ArgumentParser:
     job_sub = job_cmd.add_subparsers(dest="job_command", required=True)
 
     def job(name: str, run, help_text: str):
-        return command(name, _with_client(run), help_text, within=job_sub)
+        def with_client(args) -> int:
+            from ..service.client import ServiceClient, ServiceError
+
+            try:
+                return run(ServiceClient(args.url), args)
+            except ServiceError as exc:  # a daemon's refusal
+                print(f"error: {exc.message}")
+                return 2
+        return command(name, with_client, help_text, within=job_sub)
 
     submit_cmd = job("submit", _job_submit,
                      "queue one campaign on the daemon")
@@ -544,20 +551,6 @@ def _print_job_result(job: dict) -> int:
     return 130 if status in ("cancelled", "interrupted") else 1
 
 
-def _with_client(run):
-    """A ``job`` subcommand: ``run(client, args)`` against the daemon at
-    ``--url``; a daemon's refusal exits 2."""
-    def handler(args) -> int:
-        from ..service.client import ServiceClient, ServiceError
-
-        try:
-            return run(ServiceClient(args.url), args)
-        except ServiceError as exc:
-            print(f"error: {exc.message}")
-            return 2
-    return handler
-
-
 def _job_submit(client, args) -> int:
     spec = {k: v for k, v in _args_to_job_spec(args).to_dict().items()
             if v is not None}
@@ -675,8 +668,7 @@ def _cmd_fuzz(args) -> int:
     from ..fuzz import engine_divergences, model_divergences, run_fuzz
     from .seeding import derive_trial_seed
 
-    # The flags hold each field within its declared bound; min_ops
-    # follows a --max-ops below its default.
+    # Flags hold their declared bounds; min_ops follows a low --max-ops.
     config = FuzzConfig(min_ops=min(FuzzConfig.min_ops, args.max_ops),
                         **{name: getattr(args, name) for name in _FUZZ_FLAGS})
     started = _time.monotonic()

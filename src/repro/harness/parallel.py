@@ -878,8 +878,7 @@ def run_campaign_parallel(
                         completed=accumulator.completed)
                 journal.close()
         if supervisor.interrupted and journal is None:
-            # With nothing to resume from, partial counts would pass for
-            # a complete result; the pool is already torn down.
+            # Unresumable partial counts would pass for a whole result.
             raise KeyboardInterrupt
 
         result.shard_times_s = [

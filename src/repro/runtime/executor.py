@@ -791,8 +791,7 @@ class Executor:
             )
 
     #: Exact-type op dispatch (plain functions: ``_loop`` passes ``self``
-    #: explicitly).  Subclassed ops fall back to ``_dispatch_slow``, the
-    #: isinstance chain this table compiles away.
+    #: explicitly).  Subclassed ops fall back to ``_dispatch_slow``.
     _DISPATCH = {
         YieldOp: _exec_yield,
         JoinOp: _exec_join,

@@ -6,9 +6,8 @@
 HTTP surface live in :mod:`~repro.service.jobs`,
 :mod:`~repro.service.queue`, and :mod:`~repro.service.api`.
 
-Each name below loads its submodule on first use, so importing
-:mod:`~repro.service.jobs` alone (as the CLI does to declare its flags)
-does not load the HTTP client and daemon.
+Each name loads its submodule on first use: the CLI's flags need
+:mod:`~repro.service.jobs`, not the HTTP client and daemon.
 """
 
 import importlib
