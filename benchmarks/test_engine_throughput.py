@@ -3,9 +3,9 @@
 Not a paper table — supporting data for Table 4's overhead story: the gap
 between C11Tester and PCTWM here is the cost of view/bag maintenance,
 and the fast/reference split measures what the incremental caches buy.
-Rows land in ``benchmarks/output/bench_rows.json`` via ``bench_json``;
-``python -m repro bench`` produces the committed trajectory from the
-same workload/scheduler grid.
+Rows land in ``benchmarks/output/bench_rows.json`` via ``bench_json``.
+End-to-end and per-layer numbers come from the repository benchmark,
+``perf/`` (``python3 perf/run.py``).
 """
 
 import pytest

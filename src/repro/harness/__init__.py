@@ -6,11 +6,6 @@ from .artifact import (
     load_artifact,
     replay_artifact,
 )
-from .bench import (
-    check_against_baseline,
-    environment_fingerprint,
-    run_bench,
-)
 from .coverage import (
     CoverageReport,
     behaviour_shape,
@@ -80,9 +75,6 @@ __all__ = [
     "BugArtifact",
     "CampaignProgress",
     "CampaignResult",
-    "check_against_baseline",
-    "environment_fingerprint",
-    "run_bench",
     "HeartbeatBoard",
     "ReplayReport",
     "TrialJournal",

@@ -3,7 +3,7 @@
 Mirrors the artifact's ``result_pctwm.sh`` / ``run_all.sh`` scripts
 (``python -m repro table2 --trials 1000`` is paper scale), plus utility
 commands (``depth``, ``hunt``, ``litmus``, ``campaign``, ``replay``,
-``fuzz``, ``bench``, ``report``) and the campaign service (``serve``,
+``fuzz``, ``report``) and the campaign service (``serve``,
 ``job submit|status|result|cancel|drain``); ``python -m repro --help``
 lists them, and docs/usage.md walks through them.  Each subparser names
 its handler as its ``run`` default, and the campaign, hunt and fuzz
@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from ..fuzz.generator import FuzzConfig
 from ..service.jobs import JobSpec, resolve_factories
+from ..workloads.registry import benchmark_info, select_benchmarks
 from .campaign import SANITIZE_MODES
 from .charts import bar_chart, line_charts
 from .figures import figure5, figure6, render_figure5, render_figure6
@@ -262,32 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument("--out", default=None, metavar="PATH",
                             help="write the minimized trace JSON here")
 
-    bench_cmd = command(
-        "bench", _cmd_bench,
-        "measure engine events/sec and write BENCH_engine.json")
-    bench_cmd.add_argument("--quick", action="store_true",
-                           help="small batches for CI smoke runs")
-    bench_cmd.add_argument("--check", action="store_true",
-                           help="compare engine and campaign throughput "
-                                "against the committed trajectory and "
-                                "fail on regressions")
-    bench_cmd.add_argument("--out", default=None, metavar="PATH",
-                           help="write the JSON trajectory here "
-                                "(default: BENCH_engine.json unless "
-                                "--check)")
-    bench_cmd.add_argument("--baseline", default="BENCH_engine.json",
-                           metavar="PATH",
-                           help="committed trajectory --check compares "
-                                "against")
-    bench_cmd.add_argument("--tolerance", type=POSITIVE_FLOAT,
-                           default=0.30,
-                           help="allowed fractional slowdown for --check")
-    bench_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
-    bench_cmd.add_argument("--model", default="all",
-                           choices=("all", "c11", "tso"),
-                           help="which memory-model engine cells to "
-                                "measure (default: all)")
-
     report_cmd = command("report", _cmd_report,
                          "regenerate the full evaluation as markdown")
     report_cmd.add_argument("--trials", type=POSITIVE_INT, default=100)
@@ -315,8 +290,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _print_sections(*sections):
-    """A command printing each section, each followed by a blank line."""
+    """A command printing each section, each followed by a blank line;
+    a bad ``--benchmarks`` selection is a usage error before any runs."""
     def run(args) -> int:
+        try:
+            select_benchmarks(getattr(args, "benchmarks", None))
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
         for section in sections:
             section(args)
             print()
@@ -365,17 +346,6 @@ _figure6 = _figure("Figure 6: inserted relaxed writes", figure6,
                    render_figure6, line_charts)
 
 
-def _cmd_bench(args) -> int:
-    from .bench import bench_command
-
-    out = args.out
-    if out is None and not args.check:
-        out = "BENCH_engine.json"
-    return bench_command(out=out, quick=args.quick, check=args.check,
-                         baseline_path=args.baseline, seed=args.seed,
-                         tolerance=args.tolerance, model=args.model)
-
-
 def _cmd_report(args) -> int:
     from .report import write_report
 
@@ -391,9 +361,12 @@ def _cmd_report(args) -> int:
 
 def _cmd_depth(args) -> int:
     from ..core.depth import empirical_bug_depth, estimate_parameters
-    from ..workloads import BENCHMARKS
 
-    info = BENCHMARKS[args.benchmark]
+    try:
+        info = benchmark_info(args.benchmark)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     est = estimate_parameters(info.build(), runs=5, seed=args.seed)
     print(f"{info.name}: {est}")
     depth = empirical_bug_depth(info.build(), max_depth=args.max_depth,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.depth import estimate_parameters
 from ..core.factory import SchedulerSpec
-from ..workloads.registry import BENCHMARKS, BenchmarkInfo, ProgramSpec
+from ..workloads.registry import BENCHMARKS, ProgramSpec, select_benchmarks
 from .parallel import run_campaign_parallel
 
 
@@ -41,7 +41,7 @@ def figure5(trials: int = 100, seed: int = 0,
             jobs: int = 1) -> List[Figure5Bar]:
     """Highest observed hit rate per benchmark and algorithm."""
     bars = []
-    for info in _selected(benchmarks):
+    for info in select_benchmarks(benchmarks):
         est = estimate_parameters(info.build(), runs=3, seed=seed)
         program = ProgramSpec(info.name)
         c11 = run_campaign_parallel(program, SchedulerSpec("c11tester"),
@@ -114,13 +114,11 @@ def figure6(trials: int = 100, seed: int = 0,
             benchmarks: Optional[Sequence[str]] = None,
             jobs: int = 1) -> Dict[str, Figure6Series]:
     """Hit rate vs number of inserted relaxed writes (Figure 6)."""
-    if benchmarks is None:
-        benchmarks = [
-            info.name for info in BENCHMARKS.values() if info.in_figure6
-        ]
+    selected = ([info for info in BENCHMARKS.values() if info.in_figure6]
+                if benchmarks is None else select_benchmarks(benchmarks))
     out = {}
-    for name in benchmarks:
-        info = BENCHMARKS[name]
+    for info in selected:
+        name = info.name
         series = Figure6Series(name)
         for n in insert_counts:
             program = ProgramSpec(name, params={"inserted_writes": n})
@@ -168,9 +166,3 @@ def render_figure6(series: Dict[str, Figure6Series]) -> str:
             )
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def _selected(names: Optional[Sequence[str]]) -> List[BenchmarkInfo]:
-    if names is None:
-        return list(BENCHMARKS.values())
-    return [BENCHMARKS[n] for n in names]

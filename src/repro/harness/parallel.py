@@ -83,7 +83,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import faultrig
@@ -141,8 +141,6 @@ class CampaignProgress:
     completed_trials: int
     total_trials: int
     elapsed_s: float
-    #: Wall time of each shard completed so far, in completion order.
-    shard_wall_times: List[float] = field(default_factory=list)
     #: Trials restored from a checkpoint journal (counted in
     #: ``completed_trials`` but not re-run).
     resumed_trials: int = 0
@@ -491,10 +489,6 @@ class _ShardSupervisor:
         #: campaigns against a global worker budget (idle pools parked in
         #: the registry are not counted).
         self.on_pool_change = on_pool_change
-        #: Set to end a backoff wait early (graceful drain); interrupt
-        #: signals need no help — the deadline wait sleeps in short
-        #: slices precisely so KeyboardInterrupt lands promptly.
-        self._stop = threading.Event()
         #: Streaming fold target: shard records are folded the moment a
         #: shard completes and never retained — the parent's memory is
         #: bounded by the accumulator, not by the campaign size.
@@ -536,19 +530,9 @@ class _ShardSupervisor:
                    RETRY_BACKOFF_CAP_S)
 
     def _backoff_wait(self, delay_s: float) -> None:
-        """Deadline-based wait: never a single long ``time.sleep``.
-
-        Sleeps in short slices against a monotonic deadline, so an
-        operator signal (KeyboardInterrupt) or :attr:`_stop` (a drain
-        request) interrupts the backoff within ~50 ms instead of pinning
-        the supervisor for the full delay.
-        """
-        deadline = time.monotonic() + delay_s
-        while not self._stop.is_set():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            self._stop.wait(min(remaining, 0.05))
+        """Sleep out a retry backoff; SIGINT (and SIGTERM, raised as
+        KeyboardInterrupt) interrupts it."""
+        time.sleep(delay_s)
 
     def _run_pooled(self) -> None:
         """Submit shards to worker pools, rebuilding after crashes."""
@@ -826,17 +810,14 @@ def run_campaign_parallel(
 
         start_time = time.perf_counter()
         completed_trials = len(done)
-        wall_times: List[float] = []
 
         def on_progress(outcome: ShardResult) -> None:
             nonlocal completed_trials
             completed_trials += len(outcome.records)
-            wall_times.append(outcome.wall_s)
             if progress is not None:
                 progress(CampaignProgress(
                     completed_trials, trials,
                     time.perf_counter() - start_time,
-                    list(wall_times),
                     resumed_trials=len(done),
                 ))
 

@@ -16,7 +16,7 @@ from ..core.depth import estimate_parameters
 from ..core.factory import SchedulerSpec
 from ..runtime.executor import run_once
 from ..workloads.apps import APPLICATIONS, silo_operations
-from ..workloads.registry import BENCHMARKS, BenchmarkInfo, ProgramSpec
+from ..workloads.registry import BENCHMARKS, ProgramSpec, select_benchmarks
 from .campaign import CampaignResult, c11tester_factory, pctwm_factory
 from .parallel import run_campaign_parallel
 from .stats import relative_stdev_pct
@@ -95,7 +95,7 @@ def table2(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
            jobs: int = 1, sanitize: str = "off") -> List[Table2Row]:
     """PCTWM hit rates for d, d+1, d+2 at the best history depth."""
     rows = []
-    for info in _selected(benchmarks):
+    for info in select_benchmarks(benchmarks):
         est = estimate_parameters(info.build(), runs=3, seed=seed)
         program = ProgramSpec(info.name)
         row = Table2Row(info.name, info.measured_depth)
@@ -164,7 +164,7 @@ def table3(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
            jobs: int = 1, sanitize: str = "off") -> List[Table3Row]:
     """PCTWM hit rates for h = 1..4 at the benchmark's measured depth."""
     rows = []
-    for info in _selected(benchmarks):
+    for info in select_benchmarks(benchmarks):
         est = estimate_parameters(info.build(), runs=3, seed=seed)
         program = ProgramSpec(info.name)
         row = Table3Row(info.name, est.k_com, info.measured_depth)
@@ -292,9 +292,3 @@ def render_table4(rows: Sequence[Table4Row]) -> str:
             f"{r.c11tester_races:4d}/{r.pctwm_races:d} of {r.runs}"
         )
     return "\n".join(lines)
-
-
-def _selected(names: Optional[Sequence[str]]) -> List[BenchmarkInfo]:
-    if names is None:
-        return list(BENCHMARKS.values())
-    return [BENCHMARKS[n] for n in names]

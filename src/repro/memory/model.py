@@ -5,8 +5,8 @@ algorithm needs a scheduler-facing execution pipeline that exposes the
 model's nondeterminism as schedulable choices, plus a notion of
 communication events.  This module makes that claim operational — a
 :class:`MemoryModel` names everything the harness layers (campaigns,
-artifacts, replay, sanitizer, bench, CLI) need to run any scheduler
-against any model:
+artifacts, replay, sanitizer, CLI) need to run any scheduler against
+any model:
 
 * an executor class whose ``run`` produces a
   :class:`repro.runtime.executor.RunResult` (same shape for every

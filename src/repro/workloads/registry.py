@@ -9,7 +9,7 @@ Figures 5-6 know which parameters to sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..runtime.program import Program
 from .barrier import barrier
@@ -80,6 +80,26 @@ BENCHMARKS: Dict[str, BenchmarkInfo] = {
 BENCHMARK_ORDER = list(BENCHMARKS)
 
 
+def benchmark_info(name: str) -> BenchmarkInfo:
+    """The registered benchmark ``name``; a ``ValueError`` naming the
+    known ones if there is none."""
+    if name not in BENCHMARKS:
+        known = ", ".join(BENCHMARKS)
+        raise ValueError(f"unknown benchmark {name!r}; known: {known}")
+    return BENCHMARKS[name]
+
+
+def select_benchmarks(names: Optional[Sequence[str]]) -> List[BenchmarkInfo]:
+    """The benchmarks ``names`` selects, every one when ``None``; an
+    empty or unknown selection is a ``ValueError``."""
+    if names is None:
+        return list(BENCHMARKS.values())
+    if not names:
+        known = ", ".join(BENCHMARKS)
+        raise ValueError(f"no benchmark selected; known: {known}")
+    return [benchmark_info(name) for name in names]
+
+
 def resolve_program_factory(kind: str, name: str) -> Factory:
     """Look up a program factory by registry kind and name.
 
@@ -91,10 +111,7 @@ def resolve_program_factory(kind: str, name: str) -> Factory:
     module free of cycles with the litmus/app/fuzz packages.
     """
     if kind == "benchmark":
-        if name not in BENCHMARKS:
-            known = ", ".join(BENCHMARKS)
-            raise ValueError(f"unknown benchmark {name!r}; known: {known}")
-        return BENCHMARKS[name].factory
+        return benchmark_info(name).factory
     if kind == "litmus":
         from ..litmus import ALL_LITMUS, EXTENDED_LITMUS
 

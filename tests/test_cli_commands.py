@@ -147,6 +147,23 @@ class TestDeclaredOptions:
         assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["depth", "nosuch"],
+    ["table2", "--benchmarks", "nosuch", "--trials", "2"],
+    ["table3", "--benchmarks", "nosuch", "--trials", "2"],
+    ["figure5", "--benchmarks", "nosuch", "--trials", "2"],
+    ["figure6", "--benchmarks", "nosuch", "--trials", "2"],
+    ["figure5", "--benchmarks", "--trials", "2"],
+], ids=" ".join)
+def test_bad_benchmark_selection_is_a_usage_error(argv, capsys):
+    """An unknown or empty selection exits 2 with one line naming the
+    known benchmarks, before anything runs."""
+    assert exit_code(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "known: dekker, " in out
+
+
 def subcommands(parser, prefix=()):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):

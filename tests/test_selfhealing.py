@@ -425,13 +425,6 @@ class TestBackoff:
         sup._backoff_wait(0.12)
         assert 0.1 <= time.monotonic() - t0 < 1.0
 
-    def test_wait_interrupted_by_stop(self):
-        sup = make_supervisor()
-        sup._stop.set()
-        t0 = time.monotonic()
-        sup._backoff_wait(10.0)
-        assert time.monotonic() - t0 < 0.5
-
 
 # -- API validation ------------------------------------------------------------
 
