@@ -83,12 +83,6 @@ class PCTWMScheduler(PriorityScheduler):
         #: after the snapshot, so sharing is safe).
         self._bag_cache: Dict = {}
         self._fast = True
-        #: Whether this instance uses the base read-update rule; when an
-        #: ablation overrides ``_apply_read_update``, ``on_event_executed``
-        #: dispatches to it instead of the inlined base logic.
-        self._base_read_update = (
-            type(self)._apply_read_update is PCTWMScheduler._apply_read_update
-        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -224,7 +218,7 @@ class PCTWMScheduler(PriorityScheduler):
         stamp = (
             len(state.graph.writes_by_loc[ctx.loc]),
             state.clocks[ctx.tid],
-            state.visibility._read_floor.get(key, 0),
+            state.visibility.read_floor(ctx.tid, ctx.loc),
             ctx.order.is_seq_cst,
         )
         memo = self._sink_candidates.get(key)
@@ -264,9 +258,6 @@ class PCTWMScheduler(PriorityScheduler):
     # -- Algorithm 2: view updates ------------------------------------------------
 
     def on_event_executed(self, state, event: Event, info: dict) -> None:
-        # Runs once per executed event; the read-update helper is inlined
-        # (``_apply_read_update`` remains as the documented reference of
-        # the same logic for subclasses that override it).
         tid = event.tid
         view = self._views[tid]
         bags = self._bags
@@ -276,31 +267,7 @@ class PCTWMScheduler(PriorityScheduler):
             if self._last_sc is not None:
                 view.join(bags.get(self._last_sc.uid))
         if event.is_read:
-            if not self._base_read_update:
-                # An ablation subclass overrides the read-update rule.
-                self._apply_read_update(state, view, event, op, info)
-                source = None
-            else:
-                # Inlined _apply_read_update (Algorithm 2 lines 13-18).
-                source = event.reads_from
-            if source is not None:
-                external = (
-                    (op is not None and op.uid in self._reordered)
-                    or info.get("spinning", False)
-                    or info.get("rmw", False)
-                )
-                if external or view.get(event.loc) is not source:
-                    sync = info.get("sync_source")
-                    if sync is not None:
-                        # Line 14: sw formed — join the source's whole bag.
-                        view.join(bags.get(sync.uid))
-                        view.join_loc(event.loc, source)
-                    else:
-                        # Line 16: relaxed external read — this loc only.
-                        bag = bags.get(source.uid)
-                        if bag is not None:
-                            view.join_loc(event.loc, bag.get(event.loc))
-                        view.join_loc(event.loc, source)
+            self._apply_read_update(state, view, event, op, info)
         if event.is_write:
             # Lines 4-5: the thread now holds its own write for this loc.
             view.set(event.loc, event)
@@ -331,6 +298,7 @@ class PCTWMScheduler(PriorityScheduler):
 
     def _apply_read_update(self, state, view: View, event: Event,
                            op, info: dict) -> None:
+        """Algorithm 2 lines 13-18: a read's view update."""
         source = event.reads_from
         if source is None:
             return
@@ -342,9 +310,10 @@ class PCTWMScheduler(PriorityScheduler):
         if not external and view.get(event.loc) is source:
             # readLocal: the thread already held this write; no update.
             return
-        if info.get("sync_source") is not None:
+        sync = info.get("sync_source")
+        if sync is not None:
             # Line 14: sw formed — join the source's whole bag.
-            view.join(self._bags.get(info["sync_source"].uid))
+            view.join(self._bags.get(sync.uid))
             view.join_loc(event.loc, source)
         else:
             # Line 16: relaxed external read — join only this location.

@@ -76,7 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
         add_flags(cmd, JobSpec, ["sanitize"])
         return cmd
 
-    add("table1", "benchmark characteristics (k, k_com, d)", _table1)
+    t1 = command("table1", _print_sections(_table1),
+                 "benchmark characteristics (k, k_com, d)")
+    t1.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
+    t1.add_argument("--benchmarks", nargs="*", default=None)
     add("table2", "PCTWM hit rates for d, d+1, d+2", _table2)
     add("table3", "PCTWM hit rates for h = 1..4", _table3)
     t4 = command("table4", _print_sections(_table4),
@@ -307,7 +310,7 @@ def _print_sections(*sections):
 
 def _table1(args) -> None:
     print("== Table 1: benchmark characteristics ==")
-    print(render_table1(table1(seed=args.seed)))
+    print(render_table1(table1(seed=args.seed, benchmarks=args.benchmarks)))
 
 
 def _table4(args) -> None:

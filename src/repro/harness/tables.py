@@ -16,7 +16,7 @@ from ..core.depth import estimate_parameters
 from ..core.factory import SchedulerSpec
 from ..runtime.executor import run_once
 from ..workloads.apps import APPLICATIONS, silo_operations
-from ..workloads.registry import BENCHMARKS, ProgramSpec, select_benchmarks
+from ..workloads.registry import ProgramSpec, select_benchmarks
 from .campaign import CampaignResult, c11tester_factory, pctwm_factory
 from .parallel import run_campaign_parallel
 from .stats import relative_stdev_pct
@@ -37,10 +37,11 @@ class Table1Row:
     measured_depth: int
 
 
-def table1(estimation_runs: int = 5, seed: int = 0) -> List[Table1Row]:
+def table1(estimation_runs: int = 5, seed: int = 0,
+           benchmarks: Optional[Sequence[str]] = None) -> List[Table1Row]:
     """Measure k / k_com per benchmark alongside the paper's estimates."""
     rows = []
-    for info in BENCHMARKS.values():
+    for info in select_benchmarks(benchmarks):
         est = estimate_parameters(info.build(), runs=estimation_runs,
                                   seed=seed)
         rows.append(Table1Row(

@@ -17,7 +17,9 @@ any model:
   C11Tester baseline, whose reads-from nondeterminism TSO lacks).
 
 A backend supplies the model-*specific* parts of the pipeline by
-subclassing the generic executor:
+subclassing the generic executor and its state; every event still
+commits through the executor's one shared path (clock tick, graph
+append, visibility floors, race check, scheduler hook):
 
 * **enabled-action enumeration** — ``ExecutionState.enabled_tids``;
   store-buffer models add pseudo-threads for their commit actions (the
@@ -25,12 +27,14 @@ subclassing the generic executor:
 * **communication-event identification** — the ``_comm`` flag on the
   ops the model schedules (TSO's ``FlushOp._comm = True`` makes flushes
   the communication sinks PCTWM delays);
-* **thread-local view construction** — what a read may observe
-  (C11: the coherence-visible suffix via ``choose_read_from``; TSO:
-  deterministic store-forward-or-mo-max);
+* **thread-local view construction** — what a read may observe, the
+  executor's ``_read_source`` hook (C11: the scheduler's
+  ``choose_read_from`` pick among the coherence-visible writes; TSO:
+  forward from the own store buffer, else the mo-max);
 * **commit-time mo insertion** — when a write reaches the modification
-  order (C11: at execution, ``add_write``; TSO: at flush,
-  ``issue_write`` + ``commit_write``).
+  order (C11: at execution, ``add_write``; TSO: ``_exec_store`` issues
+  into the buffer with ``issue_write`` and ``_exec_flush``/``_drain_own``
+  land it with ``commit_write``).
 
 Registry usage::
 

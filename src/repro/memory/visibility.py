@@ -84,6 +84,10 @@ class VisibilityTracker:
 
     # -- queries ---------------------------------------------------------------
 
+    def read_floor(self, tid: int, loc: str) -> int:
+        """The highest mo index ``tid`` has read from at ``loc``."""
+        return self._read_floor.get((tid, loc), 0)
+
     def snapshot(self) -> dict:
         """JSON-safe dump of the per-thread view state, for diagnostics.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..memory.axioms import IncrementalCoherenceChecker, check_consistency
-from ..memory.events import Event, MemoryOrder, _UNSTAMPED, clock_join
+from ..memory.events import Event, MemoryOrder, clock_join
 from ..memory.execution import ExecutionGraph
 from ..memory.races import DataRace, RaceDetector
 from ..memory.visibility import VisibilityTracker
@@ -312,9 +312,8 @@ class Executor:
         deadline = None
         if self.wall_timeout_s is not None:
             deadline = time.perf_counter() + self.wall_timeout_s
-        # The hottest loop in the library: every per-step attribute lookup
-        # and call layer is hoisted or inlined (one step's op dispatch
-        # lives at the bottom of the loop).
+        # The hottest loop in the library: per-step attribute lookups are
+        # hoisted (one step's op dispatch lives at the bottom of the loop).
         scheduler = self.scheduler
         choose_thread = scheduler.choose_thread
         dispatch = self._DISPATCH
@@ -409,7 +408,7 @@ class Executor:
                 return handler
         raise ReproError(f"unknown op {op!r}")
 
-    # -- clock helpers ----------------------------------------------------------
+    # -- shared commit path -------------------------------------------------------
 
     @staticmethod
     def _tick(state: ExecutionState, tid: int,
@@ -436,16 +435,16 @@ class Executor:
 
     def _commit(self, state: ExecutionState, thread: ThreadState,
                 event: Event, op: Op, result: Any, info: dict) -> None:
+        """Last step of every program event: race check, sanitizer,
+        scheduler hook, then deliver ``result`` to the thread."""
         state.races.on_access(event)
         if state.sanitizer is not None:
             state.sanitizer.on_event(event)
         info["op"] = op
         self.scheduler.on_event_executed(state, event, info)
-        # Inlined advance_thread: one event commits per step, so the
-        # wrapper call was pure hot-path overhead.  The enabled set only
-        # changes when a thread finishes or its new pending op is a join
-        # (memory ops never block), so the cache survives the common
-        # op-to-op advance.
+        # The enabled set only changes when a thread finishes or its new
+        # pending op is a join (memory ops never block), so the cache
+        # survives the common op-to-op advance.
         thread.advance(result)
         if thread.finished:
             state._enabled_cache = None
@@ -453,6 +452,34 @@ class Executor:
             self.scheduler.on_thread_finished(state, thread.tid)
         elif thread.pending_is_join:
             state._enabled_cache = None
+
+    def _sync_sources(self, state: ExecutionState, thread: ThreadState,
+                      source: Event, order: MemoryOrder,
+                      ) -> Tuple[Optional[Event], Optional[Event]]:
+        """Resolve the sw consequences of reading from ``source``.
+
+        Returns ``(sync_source, release_chain_source)``: the first is the
+        event whose clock the reader joins *now* (acquire read of a release
+        chain); the second is the chain source recorded for a later acquire
+        fence (relaxed read of a release chain, the ``(po; [F])`` suffix of
+        the sw definition).
+        """
+        if source.is_init:
+            return None, None
+        chain = state.graph.release_source(source)
+        if chain is None:
+            return None, None
+        if order.is_acquire:
+            return chain, chain
+        thread.pending_sync_sources.append(chain)
+        return None, chain
+
+    def _begin_access(self, state: ExecutionState, loc: str) -> None:
+        """Count one communication event and check its location."""
+        state.k_com += 1
+        state.k += 1
+        if loc not in self._locs:
+            self._require_loc(loc)
 
     # -- op execution -------------------------------------------------------------
 
@@ -497,8 +524,6 @@ class Executor:
 
     def _exec_store(self, state: ExecutionState, thread: ThreadState,
                     op: StoreOp) -> None:
-        # Second-hottest handler; ``_tick``, ``note_write`` and
-        # ``_commit`` are inlined as in ``_exec_load``.
         order = op.order
         if order.is_seq_cst:
             state.k_com += 1
@@ -507,59 +532,55 @@ class Executor:
         loc = op.loc
         if loc not in self._locs:
             self._require_loc(loc)
-        # Inlined _tick (stores never join another clock).
-        bumped = list(state.clocks[tid])
-        if len(bumped) <= tid:
-            bumped.extend([0] * (tid + 1 - len(bumped)))
-        bumped[tid] += 1
-        clock = tuple(bumped)
-        state.clocks[tid] = clock
+        clock = self._tick(state, tid, None)
         event = state.graph.add_write(tid, loc, op.value, order)
         event.clock = clock
-        # Inlined visibility.note_write (seq_cst write floor).
-        if order.is_seq_cst:
-            sc_floor = state.visibility._sc_write_floor
-            if event.mo_index > sc_floor[loc]:
-                sc_floor[loc] = event.mo_index
-        # Inlined _commit, with the race detector's atomic-only shortcut
-        # folded in: an atomic access at a location with no non-atomic
-        # history can't race, so only the last-access table is updated.
-        races = state.races
-        if races.fast and order.is_atomic and loc not in races._na_locs:
-            races._last_write[loc][tid] = event
-        else:
-            races.on_access(event)
-        if state.sanitizer is not None:
-            state.sanitizer.on_event(event)
-        scheduler = self.scheduler
-        scheduler.on_event_executed(state, event, {"op": op})
-        thread.advance(None)
-        if thread.finished:
-            state._enabled_cache = None
-            state._unfinished -= 1
-            scheduler.on_thread_finished(state, thread.tid)
-        elif thread.pending_is_join:
-            state._enabled_cache = None
+        state.visibility.note_write(event)
+        self._commit(state, thread, event, op, None, {})
 
     def _exec_load(self, state: ExecutionState, thread: ThreadState,
                    op: LoadOp) -> None:
-        # The hottest handler in the engine (~3 of 4 steps on the bench
-        # workloads are loads): the per-read helpers — the spin check,
-        # ``_sync_sources``, ``_tick``, ``note_read`` and ``_commit`` —
-        # are inlined, and the fast engine reuses one pooled ReadContext
-        # instead of allocating one per read (contexts never outlive the
-        # read: schedulers may keep the candidate *list* but not the
-        # context object).
-        state.k_com += 1
-        state.k += 1
-        tid = thread.tid
         loc = op.loc
+        self._begin_access(state, loc)
+        tid = thread.tid
         order = op.order
-        if loc not in self._locs:
-            self._require_loc(loc)
         spins = state.spins
         site_key = thread.site_key
         spinning = spins.is_spinning(site_key) if spins._hot else False
+        source, forwarded = self._read_source(state, thread, op, spinning)
+        if forwarded:
+            # Same-thread (po-ordered) source: no sw edge, and the read
+            # floor tracks only sources already in mo.
+            sync_source = chain_source = None
+        else:
+            sync_source, chain_source = self._sync_sources(
+                state, thread, source, order)
+            state.visibility.note_read(tid, source)
+        clock = self._tick(state, tid, sync_source)
+        event = state.graph.add_read(tid, loc, source, order)
+        event.clock = clock
+        result = source.wval
+        spins.note(site_key, result)
+        self._commit(state, thread, event, op, result, {
+            "sync_source": sync_source,
+            "release_chain_source": chain_source,
+            "spinning": spinning,
+        })
+
+    def _read_source(self, state: ExecutionState, thread: ThreadState,
+                     op: LoadOp, spinning: bool) -> Tuple[Event, bool]:
+        """The load's rf source, and whether it was forwarded from the
+        reading thread's own uncommitted stores (never, under C11).
+
+        The scheduler picks among the coherence-visible writes and the
+        choice is validated (and logged as a READ decision) here.  The
+        fast engine reuses one pooled ReadContext instead of allocating
+        one per read: contexts never outlive the read (schedulers may
+        keep the candidate *list* but not the context object).
+        """
+        tid = thread.tid
+        loc = op.loc
+        order = op.order
         scheduler = self.scheduler
         if self.fast:
             # Lazy candidates: schedulers that need only a fragment of the
@@ -584,21 +605,8 @@ class Executor:
             # visible, so the floor is only computed (memoized on the
             # context) for non-maximal sources.
             nwrites = len(writes)
-            if index < 0 or index >= nwrites \
-                    or writes[index] is not source:
-                raise ReproError(
-                    f"{scheduler.name} chose rf source outside the "
-                    f"visible set: {source!r}"
-                )
-            if index != nwrites - 1:
-                floor = ctx._floor
-                if floor < 0:
-                    floor = ctx.floor_index()
-                if index < floor:
-                    raise ReproError(
-                        f"{scheduler.name} chose rf source outside "
-                        f"the visible set: {source!r}"
-                    )
+            valid = 0 <= index < nwrites and writes[index] is source \
+                and (index == nwrites - 1 or index >= ctx.floor_index())
         else:
             candidates = state.visibility.visible_writes(
                 tid, loc, state.clocks[tid], seq_cst=order.is_seq_cst
@@ -607,181 +615,60 @@ class Executor:
                               candidates=candidates, op=op,
                               spinning=spinning)
             source = scheduler.choose_read_from(state, ctx)
-            if source not in candidates:
-                raise ReproError(
-                    f"{scheduler.name} chose rf source outside the "
-                    f"visible set: {source!r}"
-                )
+            valid = source in candidates
+        if not valid:
+            raise ReproError(
+                f"{scheduler.name} chose rf source outside the visible "
+                f"set: {source!r}"
+            )
         if self.decisions is not None:
             self.decisions.append((READ, source.mo_index - ctx.floor_index()))
-        # Commit the read (previously the separate ``_finish_read`` — the
-        # load path is the hottest in the engine, so it is kept flat).
-        result = source.wval
-        # Inlined _sync_sources.
-        sync_source = fence_source = None
-        if not source.is_init:
-            chain = source._release_chain
-            if chain is _UNSTAMPED:
-                chain = state.graph.release_source_reference(source)
-            if chain is not None:
-                if order.is_acquire:
-                    sync_source = fence_source = chain
-                else:
-                    thread.pending_sync_sources.append(chain)
-                    fence_source = chain
-        # Inlined _tick.
-        clock = state.clocks[tid]
-        if sync_source is not None and not sync_source.is_init:
-            clock = clock_join(clock, sync_source.clock)
-        bumped = list(clock)
-        if len(bumped) <= tid:
-            bumped.extend([0] * (tid + 1 - len(bumped)))
-        bumped[tid] += 1
-        clock = tuple(bumped)
-        state.clocks[tid] = clock
-        event = state.graph.add_read(tid, loc, source, order)
-        event.clock = clock
-        # Inlined visibility.note_read: raise the read-coherence floor.
-        read_floor = state.visibility._read_floor
-        key = (tid, loc)
-        if source.mo_index > read_floor[key]:
-            read_floor[key] = source.mo_index
-        spins.note(site_key, result)
-        # Inlined _commit (race-detector shortcut as in _exec_store).
-        races = state.races
-        if races.fast and order.is_atomic and loc not in races._na_locs:
-            races._last_read[loc][tid] = event
-        else:
-            races.on_access(event)
-        if state.sanitizer is not None:
-            state.sanitizer.on_event(event)
-        scheduler.on_event_executed(state, event, {
-            "op": op,
-            "sync_source": sync_source,
-            "release_chain_source": fence_source,
-            "spinning": spinning,
-        })
-        thread.advance(result)
-        if thread.finished:
-            state._enabled_cache = None
-            state._unfinished -= 1
-            scheduler.on_thread_finished(state, thread.tid)
-        elif thread.pending_is_join:
-            state._enabled_cache = None
-
-    def _rmw_commit(self, state: ExecutionState, thread: ThreadState,
-                    source: Event, event: Event, old, result,
-                    sync_source: Optional[Event],
-                    fence_source: Optional[Event], op: Op,
-                    tid: int) -> None:
-        """Shared tail of the RMW/CAS handlers (read floor + commit)."""
-        # Inlined visibility.note_read.
-        read_floor = state.visibility._read_floor
-        key = (tid, source.loc)
-        if source.mo_index > read_floor[key]:
-            read_floor[key] = source.mo_index
-        state.spins.note(thread.site_key, old)
-        # Same race-detector shortcut as _exec_store.
-        races = state.races
-        loc = source.loc
-        if races.fast and event.is_atomic and loc not in races._na_locs:
-            races._last_write[loc][tid] = event
-            races._last_read[loc][tid] = event
-        else:
-            races.on_access(event)
-        if state.sanitizer is not None:
-            state.sanitizer.on_event(event)
-        scheduler = self.scheduler
-        scheduler.on_event_executed(state, event, {
-            "op": op,
-            "sync_source": sync_source,
-            "release_chain_source": fence_source,
-            "rmw": True,
-        })
-        thread.advance(result)
-        if thread.finished:
-            state._enabled_cache = None
-            state._unfinished -= 1
-            scheduler.on_thread_finished(state, thread.tid)
-        elif thread.pending_is_join:
-            state._enabled_cache = None
+        return source, False
 
     def _exec_rmw(self, state: ExecutionState, thread: ThreadState,
                   op: RmwOp) -> None:
-        state.k_com += 1
-        state.k += 1
-        tid = thread.tid
         loc = op.loc
-        if loc not in self._locs:
-            self._require_loc(loc)
+        self._begin_access(state, loc)
         source = state.graph.writes_by_loc[loc][-1]
         old = source.wval
-        new = op.update(old)
-        order = op.order
-        sync_source, fence_source = self._sync_sources(
-            state, thread, source, order
-        )
-        clock = self._tick(state, tid, sync_source)
-        event = state.graph.add_rmw(tid, loc, source, new, order)
-        event.clock = clock
-        if order.is_seq_cst:
-            sc_floor = state.visibility._sc_write_floor
-            if event.mo_index > sc_floor[loc]:
-                sc_floor[loc] = event.mo_index
-        self._rmw_commit(state, thread, source, event, old, old,
-                         sync_source, fence_source, op, tid)
+        self._commit_update(state, thread, op, source, op.order, True,
+                            op.update(old), old)
 
     def _exec_cas(self, state: ExecutionState, thread: ThreadState,
                   op: CasOp) -> None:
-        state.k_com += 1
-        state.k += 1
-        tid = thread.tid
         loc = op.loc
-        if loc not in self._locs:
-            self._require_loc(loc)
+        self._begin_access(state, loc)
         source = state.graph.writes_by_loc[loc][-1]
         old = source.wval
         success = old == op.expected
         order = op.success_order if success else op.failure_order
-        sync_source, fence_source = self._sync_sources(
-            state, thread, source, order
-        )
+        self._commit_update(state, thread, op, source, order, success,
+                            op.desired, (success, old))
+
+    def _commit_update(self, state: ExecutionState, thread: ThreadState,
+                       op: Op, source: Event, order: MemoryOrder,
+                       writes: bool, new: Any, result: Any) -> None:
+        """Shared tail of RMW and CAS: read the mo-maximal ``source``
+        (atomicity) and, when ``writes``, place ``new`` right after it in
+        mo; a failed CAS is a plain read."""
+        tid = thread.tid
+        sync_source, chain_source = self._sync_sources(
+            state, thread, source, order)
         clock = self._tick(state, tid, sync_source)
-        if success:
-            event = state.graph.add_rmw(tid, loc, source, op.desired,
-                                        op.success_order)
-            if op.success_order.is_seq_cst:
-                sc_floor = state.visibility._sc_write_floor
-                if event.mo_index > sc_floor[loc]:
-                    sc_floor[loc] = event.mo_index
+        if writes:
+            event = state.graph.add_rmw(tid, source.loc, source, new, order)
         else:
-            event = state.graph.add_read(tid, loc, source,
-                                         op.failure_order)
+            event = state.graph.add_read(tid, source.loc, source, order)
         event.clock = clock
-        self._rmw_commit(state, thread, source, event, old,
-                         (success, old), sync_source, fence_source, op,
-                         tid)
-
-    def _sync_sources(self, state: ExecutionState, thread: ThreadState,
-                      source: Event, order: MemoryOrder,
-                      ) -> Tuple[Optional[Event], Optional[Event]]:
-        """Resolve the sw consequences of reading from ``source``.
-
-        Returns ``(sync_source, release_chain_source)``: the first is the
-        event whose clock the reader joins *now* (acquire read of a release
-        chain); the second is the chain source recorded for a later acquire
-        fence (relaxed read of a release chain, the ``(po; [F])`` suffix of
-        the sw definition).
-        """
-        if source.is_init:
-            return None, None
-        chain = state.graph.release_source(source)
-        if chain is None:
-            return None, None
-        if order.is_acquire:
-            return chain, chain
-        thread.pending_sync_sources.append(chain)
-        return None, chain
+        visibility = state.visibility
+        visibility.note_write(event)
+        visibility.note_read(tid, source)
+        state.spins.note(thread.site_key, source.wval)
+        self._commit(state, thread, event, op, result, {
+            "sync_source": sync_source,
+            "release_chain_source": chain_source,
+            "rmw": True,
+        })
 
     def _require_loc(self, loc: str) -> None:
         if loc not in self.program.locations:

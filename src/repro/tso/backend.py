@@ -31,6 +31,21 @@ Fences and RMWs drain the issuing thread's buffer first (x86 ``MFENCE``
 MOV+MFENCE mapping).  A join additionally waits for the target's buffer
 to drain, so joined results are globally visible.
 
+:class:`TsoExecutor` overrides exactly what x86-TSO does differently and
+commits everything else through the generic executor's shared path:
+
+* ``_read_source`` — forward-or-mo-max (the load itself is the generic
+  ``Executor._exec_load``, which skips sw resolution and the read floor
+  for a forwarded source);
+* ``_exec_store`` — issue into the buffer instead of appending to mo;
+* ``_exec_flush`` and ``_drain_own`` — commit buffer heads through one
+  ``_commit_head``;
+* ``_exec_fence``/``_exec_rmw``/``_exec_cas`` — drain, then the generic
+  handler;
+* ``_exec_spawn`` — rejected (agents are allocated at run start);
+* ``run``/``_run_final_checks``/``_finish`` — no incremental checker,
+  real threads only, and a silent drain of truncated runs.
+
 Sanitization relies on the end-of-run :func:`repro.memory.axioms
 .check_consistency` audit: the *incremental* checker assumes writes
 reach mo at creation and would misread buffer-forwarded rf sources
@@ -44,7 +59,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from ..memory.events import Event, _UNSTAMPED, clock_join
+from ..memory.events import Event
 from ..runtime.errors import (
     AssertionViolation,
     ProgramDefinitionError,
@@ -238,7 +253,21 @@ class TsoExecutor(Executor):
                     state.graph.commit_write(buffer.popleft().event)
         super()._finish(state, result)
 
-    # -- TSO op handlers -----------------------------------------------------
+    # -- what x86-TSO does differently ---------------------------------------
+
+    def _read_source(self, state: TsoExecutionState, thread, op: LoadOp,
+                     spinning: bool):
+        """Forward from the newest same-location entry of the reader's
+        own store buffer, else read the committed mo-max.
+
+        ``choose_read_from`` is never consulted (the model has no rf
+        freedom, only flush timing), so traces stay THREAD-choice-only.
+        """
+        loc = op.loc
+        for flush_op in reversed(state.buffers[thread.tid]):
+            if flush_op.event.loc == loc:
+                return flush_op.event, True
+        return state.graph.writes_by_loc[loc][-1], False
 
     def _exec_store(self, state: TsoExecutionState, thread, op: StoreOp,
                     ) -> None:
@@ -248,30 +277,20 @@ class TsoExecutor(Executor):
         loc = op.loc
         if loc not in self._locs:
             self._require_loc(loc)
-        bumped = list(state.clocks[tid])
-        bumped[tid] += 1
-        clock = tuple(bumped)
-        state.clocks[tid] = clock
+        clock = self._tick(state, tid, None)
         event = state.graph.issue_write(tid, loc, op.value, op.order)
         event.clock = clock
-        races = state.races
-        if races.fast and op.order.is_atomic and loc not in races._na_locs:
-            races._last_write[loc][tid] = event
-        else:
-            races.on_access(event)
+        state.races.on_access(event)
         buffer = state.buffers[tid]
         if not buffer:
             state._unfinished += 1
-        flush_op = FlushOp(event)
-        buffer.append(flush_op)
+        buffer.append(FlushOp(event))
         state.threads[state.n_real + tid].pending = buffer[0]
         # No on_event_executed: the event is uncommitted (mo_index -1)
         # and must not reach scheduler views; its flush fires the hook.
-        thread.advance(None)
+        state.advance_thread(thread, None)
         if thread.finished:
-            state._unfinished -= 1
-            self.scheduler.on_thread_finished(state, thread.tid)
-        state._enabled_cache = None
+            self.scheduler.on_thread_finished(state, tid)
         if op.order.is_seq_cst:
             # MOV + MFENCE: a seq_cst store publishes before the thread
             # proceeds.
@@ -280,22 +299,10 @@ class TsoExecutor(Executor):
     def _exec_flush(self, state: TsoExecutionState, agent: FlushAgent,
                     op: FlushOp) -> None:
         """Commit: the store reaches mo — the communication event."""
-        real_tid = op.event.tid
-        buffer = state.buffers[real_tid]
+        buffer = state.buffers[op.event.tid]
         if not buffer or buffer[0] is not op:
             raise ReproError(f"flush out of buffer order: {op!r}")
-        buffer.popleft()
-        event = state.graph.commit_write(op.event)
-        state.k_com += 1
-        agent.events_executed += 1
-        if buffer:
-            agent.pending = buffer[0]
-        else:
-            agent.pending = None
-            state._unfinished -= 1
-        state._enabled_cache = None
-        self.scheduler.on_event_executed(state, event,
-                                         {"op": op, "flush": True})
+        self._commit_head(state, op.event.tid)
 
     def _drain_own(self, state: TsoExecutionState, tid: int) -> None:
         """Commit every buffered store of ``tid`` (fence/RMW/sc-store).
@@ -305,94 +312,25 @@ class TsoExecutor(Executor):
         scheduling steps.
         """
         buffer = state.buffers[tid]
-        if not buffer:
-            return
-        agent = state.threads[state.n_real + tid]
-        scheduler = self.scheduler
         while buffer:
-            flush_op = buffer.popleft()
-            event = state.graph.commit_write(flush_op.event)
-            state.k_com += 1
-            agent.events_executed += 1
-            scheduler.on_event_executed(state, event,
-                                        {"op": flush_op, "flush": True})
-        agent.pending = None
-        state._unfinished -= 1
-        state._enabled_cache = None
+            self._commit_head(state, tid)
 
-    def _exec_load(self, state: TsoExecutionState, thread, op: LoadOp,
-                   ) -> None:
-        """TSO loads are deterministic: forward-or-committed-max.
-
-        ``choose_read_from`` is never consulted — the model has no rf
-        freedom, only flush timing — so traces stay THREAD-choice-only.
-        """
-        state.k_com += 1
-        state.k += 1
-        tid = thread.tid
-        loc = op.loc
-        order = op.order
-        if loc not in self._locs:
-            self._require_loc(loc)
-        spins = state.spins
-        site_key = thread.site_key
-        spinning = spins.is_spinning(site_key) if spins._hot else False
-        source: Optional[Event] = None
-        for flush_op in reversed(state.buffers[tid]):
-            if flush_op.event.loc == loc:
-                source = flush_op.event
-                break
-        forwarded = source is not None
-        if source is None:
-            source = state.graph.writes_by_loc[loc][-1]
-        result = source.wval
-        # Forwarded reads are same-thread (po-ordered): no sw edge.  A
-        # committed source synchronizes exactly as on the C11 path.
-        sync_source = fence_source = None
-        if not forwarded and not source.is_init:
-            chain = source._release_chain
-            if chain is _UNSTAMPED:
-                chain = state.graph.release_source_reference(source)
-            if chain is not None:
-                if order.is_acquire:
-                    sync_source = fence_source = chain
-                else:
-                    thread.pending_sync_sources.append(chain)
-                    fence_source = chain
-        clock = state.clocks[tid]
-        if sync_source is not None and not sync_source.is_init:
-            clock = clock_join(clock, sync_source.clock)
-        bumped = list(clock)
-        bumped[tid] += 1
-        clock = tuple(bumped)
-        state.clocks[tid] = clock
-        event = state.graph.add_read(tid, loc, source, order)
-        event.clock = clock
-        if not forwarded:
-            read_floor = state.visibility._read_floor
-            key = (tid, loc)
-            if source.mo_index > read_floor[key]:
-                read_floor[key] = source.mo_index
-        spins.note(site_key, result)
-        races = state.races
-        if races.fast and order.is_atomic and loc not in races._na_locs:
-            races._last_read[loc][tid] = event
+    def _commit_head(self, state: TsoExecutionState, tid: int) -> None:
+        """Land the oldest buffered store of ``tid`` at the mo-tail."""
+        buffer = state.buffers[tid]
+        flush_op = buffer.popleft()
+        agent = state.threads[state.n_real + tid]
+        if buffer:
+            agent.pending = buffer[0]
         else:
-            races.on_access(event)
-        scheduler = self.scheduler
-        scheduler.on_event_executed(state, event, {
-            "op": op,
-            "sync_source": sync_source,
-            "release_chain_source": fence_source,
-            "spinning": spinning,
-        })
-        thread.advance(result)
-        if thread.finished:
-            state._enabled_cache = None
+            agent.pending = None
             state._unfinished -= 1
-            scheduler.on_thread_finished(state, thread.tid)
-        elif thread.pending_is_join:
-            state._enabled_cache = None
+        state._enabled_cache = None
+        event = state.graph.commit_write(flush_op.event)
+        state.k_com += 1
+        agent.events_executed += 1
+        self.scheduler.on_event_executed(state, event,
+                                         {"op": flush_op, "flush": True})
 
     def _exec_fence(self, state: TsoExecutionState, thread, op: FenceOp,
                     ) -> None:
@@ -422,11 +360,10 @@ class TsoExecutor(Executor):
         YieldOp: Executor._exec_yield,
         JoinOp: Executor._exec_join,
         SpawnOp: _exec_spawn,
-        LoadOp: _exec_load,
+        LoadOp: Executor._exec_load,
         StoreOp: _exec_store,
         RmwOp: _exec_rmw,
         CasOp: _exec_cas,
         FenceOp: _exec_fence,
         FlushOp: _exec_flush,
     }
-

@@ -16,6 +16,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 1" in out and "dekker" in out
 
+    def test_table1_honours_benchmarks(self, capsys):
+        assert cli_main(["table1", "--benchmarks", "dekker"]) == 0
+        rows = [line.split()[0]
+                for line in capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0] in BENCHMARKS]
+        assert rows == ["dekker"]
+
+    def test_table1_takes_no_campaign_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table1", "--trials", "5"])
+        assert exc.value.code == 2
+
     def test_table2_command_with_subset(self, capsys):
         assert cli_main(["table2", "--trials", "5",
                          "--benchmarks", "dekker"]) == 0

@@ -1,7 +1,12 @@
 """Unit tests for happens-before data-race detection."""
 
+import pytest
+
 from repro.memory.events import ACQ, EventKind, Label, NA, REL, RLX, Event
 from repro.memory.races import DataRace, RaceDetector
+from repro.runtime import Program, run_once
+from repro.runtime.ops import CasOp, LoadOp
+from repro.runtime.scheduler import Scheduler
 from repro import ACQ as ACQ2  # noqa: F401  (public re-export sanity)
 
 
@@ -88,3 +93,29 @@ class TestRaceDetection:
         det.on_access(first)
         race = det.on_access(second)
         assert race.first is first and race.second is second
+
+
+class TestExecutorRaceChecks:
+    """The executor records every access through ``on_access``."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_failed_cas_is_a_read(self, engine):
+        # A failed CAS degenerates to a read, so an unordered non-atomic
+        # read of its location is a read-read pair: no race.
+        class LowestTid(Scheduler):
+            def choose_thread(self, state):
+                return min(state.enabled_tids())
+
+        p = Program("failed-cas-then-na-read")
+        p.atomic("X", 0)
+
+        def cas():
+            yield CasOp("X", 99, 1, RLX, RLX)
+
+        def reader():
+            yield LoadOp("X", NA)
+
+        p.add_thread(cas)
+        p.add_thread(reader)
+        result = run_once(p, LowestTid(seed=0), engine=engine)
+        assert result.races == []

@@ -23,9 +23,10 @@ from repro.core.pos import POSScheduler
 from repro.litmus import ALL_LITMUS
 from repro.litmus.programs import store_buffering
 from repro.memory import check_consistency, resolve_model
-from repro.memory.events import RLX, SC
-from repro.runtime import Program
+from repro.memory.events import ACQ, REL, RLX, SC
+from repro.runtime import Program, fence
 from repro.runtime.errors import ProgramDefinitionError
+from repro.runtime.scheduler import Scheduler
 from repro.tso import TsoExecutionState
 
 TSO = resolve_model("tso")
@@ -203,6 +204,53 @@ class TestSchedulerContracts:
         with pytest.raises(ProgramDefinitionError):
             TSO.run_once(p, NaiveRandomScheduler(seed=0),
                          max_steps=100, keep_graph=False)
+
+
+class _RecordingScheduler(Scheduler):
+    """Runs the lowest enabled tid (real threads before flush agents)
+    and records every executed event with its hook ``info``."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.executed = []
+
+    def choose_thread(self, state) -> int:
+        return min(state.enabled_tids())
+
+    def on_event_executed(self, state, event, info) -> None:
+        self.executed.append((event, dict(info)))
+
+
+class TestForwardedLoad:
+    """The one TSO-specific branch of the shared load: a value forwarded
+    from the reader's own store buffer forms no sw edge and does not
+    move the reader's coherence floor."""
+
+    def test_forwarded_load_neither_syncs_nor_raises_the_floor(self):
+        p = Program("tso-forward")
+        x = p.atomic("X", 0)
+
+        def body():
+            yield x.store(1, REL)
+            value = yield x.load(RLX)
+            yield fence(ACQ)
+            return value
+
+        p.add_thread(body)
+        scheduler = _RecordingScheduler()
+        state = TsoExecutionState(p)
+        result = TSO.make_executor(p, scheduler, max_steps=100).run(state)
+        assert list(result.thread_results.values()) == [1]
+        (load, load_info), = [(e, i) for e, i in scheduler.executed
+                              if e.is_read]
+        assert load.reads_from.tid == 0  # its own store, forwarded
+        assert load_info["sync_source"] is None
+        assert load_info["release_chain_source"] is None
+        (_, fence_info), = [(e, i) for e, i in scheduler.executed
+                            if e.is_fence]
+        assert fence_info["fence_sync_sources"] == []
+        assert state.visibility.read_floor(0, "X") == 0
+        assert "t0:X" not in state.visibility.snapshot()["read_floors"]
 
 
 class TestModelRegistry:
