@@ -55,18 +55,8 @@ class PCTWMFullBagJoin(PCTWMScheduler):
 
     name = "pctwm-fullbag"
 
-    def _apply_read_update(self, state, view, event: Event, op,
-                           info: dict) -> None:
-        source = event.reads_from
-        if source is None:
-            return
-        external = (
-            (op is not None and op.uid in self._reordered)
-            or info.get("spinning", False)
-            or info.get("rmw", False)
-        )
-        if not external and view.get(event.loc) is source:
-            return
+    def _join_read(self, view, event: Event, source: Event,
+                   info: dict) -> None:
         # Ablated: treat every communication as if it synchronized.
         view.join(self._bags.get(source.uid))
         view.join_loc(event.loc, source)

@@ -79,8 +79,12 @@ class SchedulerSpec:
     #: Registry schedulers rebuild all per-run state in ``on_run_start``
     #: and inherit ``Scheduler.reseed``, so one instance may be reseeded
     #: and reused across trials with seed-for-seed identical results.
-    #: Arbitrary user factories (closures) make no such promise, so the
-    #: campaign fast path only reuses instances built from a spec.
+    #: They also take every random decision from ``self.rng``, so a run
+    #: is a function of the scheduler's draws, and a campaign may swap
+    #: in a :class:`~repro.runtime.draws.DrawRandom` to replay trials
+    #: whose draws repeat.  Arbitrary user factories (closures) make no
+    #: such promise, so the campaign fast path only reuses instances
+    #: built from a spec.
     supports_reuse = True
 
     def __post_init__(self) -> None:

@@ -89,17 +89,20 @@ class PCTWMScheduler(PriorityScheduler):
     def on_run_start(self, state) -> None:
         self.assign_initial_priorities([t.tid for t in state.threads])
         self._i = 0
-        self._counted = set()
-        self._reordered = set()
+        self._counted.clear()
+        self._reordered.clear()
         self._last_sc = None
+        # sample() only indexes its population: the range draws exactly
+        # what its list would.
         universe = range(1, max(self.k_com, self.depth) + 1)
-        points = self.rng.sample(list(universe), self.depth)
+        points = self.rng.sample(universe, self.depth)
         # Tuple entry d_k (1-based k) maps to priority slot d-k: the first
         # tuple entry gets the highest of the low slots, so the selected
         # sinks execute in tuple order (Algorithm 1, lines 10-11).
-        self._slot_by_count = {
-            point: self.depth - (k + 1) for k, point in enumerate(points)
-        }
+        slot_by_count = self._slot_by_count
+        slot_by_count.clear()
+        for k, point in enumerate(points):
+            slot_by_count[point] = self.depth - (k + 1)
         # The fast engine uses array-backed views over the graph's dense
         # location ids; the reference engine keeps Definition 1's dict
         # views.  Both implement the same join semilattice, so the
@@ -125,9 +128,9 @@ class PCTWMScheduler(PriorityScheduler):
             self._views = {
                 t.tid: View(state.init_writes) for t in state.threads
             }
-        self._bags = {}
-        self._sink_candidates = {}
-        self._bag_cache = {}
+        self._bags.clear()
+        self._sink_candidates.clear()
+        self._bag_cache.clear()
 
     def on_thread_created(self, state, tid: int, parent_tid: int) -> None:
         super().on_thread_created(state, tid, parent_tid)
@@ -310,6 +313,11 @@ class PCTWMScheduler(PriorityScheduler):
         if not external and view.get(event.loc) is source:
             # readLocal: the thread already held this write; no update.
             return
+        self._join_read(view, event, source, info)
+
+    def _join_read(self, view: View, event: Event, source: Event,
+                   info: dict) -> None:
+        """Lines 14-17: what an external read joins into its view."""
         sync = info.get("sync_source")
         if sync is not None:
             # Line 14: sw formed — join the source's whole bag.

@@ -402,8 +402,9 @@ def build_plan_program(plan: Mapping[str, Any]) -> Program:
     """Materialize a plan into a reusable :class:`Program`.
 
     The returned program keeps all per-run state inside its generator
-    bodies, so it satisfies the registry's ``supports_reuse`` contract
-    (one build, many instantiations).
+    bodies, so it satisfies the registry's ``supports_reuse`` contract:
+    one build, many instantiations, and each run a function of the
+    scheduler's draws.
     """
     version = plan.get("version", PLAN_VERSION)
     if version != PLAN_VERSION:

@@ -23,6 +23,12 @@ Fast path
     order-independent and memory-bounded.  All of it is seed-for-seed
     identical to the one-object-web-per-trial slow path; the equivalence
     suite pins this.
+
+Replay
+    A trial's run is a function of its scheduler draws, and on small
+    programs those repeat.  A runner records each clean run's outcome in
+    a draw tree (:mod:`repro.runtime.draws`) and answers a trial whose
+    draws retrace a recorded path from the tree, without executing it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from ..core.pct import PCTScheduler
 from ..core.pctwm import PCTWMScheduler
 from ..memory.model import resolve_model
 from ..replay.trace import Trace
+from ..runtime.draws import DrawRandom, DrawTree
 from ..runtime.executor import ExecutionState, Executor, RunResult
 from ..runtime.program import Program
 from ..runtime.scheduler import Scheduler
@@ -409,6 +416,17 @@ class TrialRunner:
       log is on, and a failing trial's artifact takes its trace from
       that log; without one nothing is logged.  The log consumes no
       randomness, so outcomes do not depend on it.
+    * **Replay**: ``supports_reuse`` on both factories also promises that
+      a run is a function of the scheduler's draws (see
+      :mod:`repro.runtime.draws`).  The warm scheduler then draws through
+      a :class:`~repro.runtime.draws.DrawRandom`, and a
+      :class:`~repro.runtime.draws.DrawTree` maps the draws of every
+      clean run to its outcome.  A trial whose draws retrace a recorded
+      path returns that outcome without executing; ``replayed`` counts
+      them.  Only trials whose outcome is all the caller wants are
+      eligible: no sanitizer, no ``artifact_dir``, no
+      ``trial_timeout_s``.  A program that turns out not to be a
+      function of its draws loses its tree and runs plain from then on.
 
     Every reuse lever is seed-for-seed neutral: a runner's records match
     those of a fresh runner, field for field (timings aside).
@@ -425,6 +443,13 @@ class TrialRunner:
         self._program: Optional[Program] = None
         self._state: Optional[ExecutionState] = None
         self._executor: Optional[Executor] = None
+        replayable = (self._reuse_scheduler and self._reuse_program
+                      and config.artifact_dir is None
+                      and config.trial_timeout_s is None)
+        self._tree: Optional[DrawTree] = DrawTree() if replayable else None
+        self._rng: Optional[DrawRandom] = DrawRandom() if replayable else None
+        #: Trials answered from the draw tree instead of executed.
+        self.replayed = 0
 
     # -- warm components -----------------------------------------------------
 
@@ -434,6 +459,9 @@ class TrialRunner:
             return factory(trial_seed)
         if self._scheduler is None:
             self._scheduler = factory(trial_seed)
+            if self._rng is not None:
+                self._scheduler.rng = self._rng
+                self._rng.seed(trial_seed)
         else:
             self._scheduler.reseed(trial_seed)
         return self._scheduler
@@ -495,16 +523,32 @@ class TrialRunner:
         replayable JSON artifact in that directory (written here, in the
         worker, so it survives the process boundary), its decision trace
         logged while the trial ran.
+
+        Without either, and without a ``trial_timeout_s``, a trial whose
+        scheduler draws retrace an earlier clean trial's returns that
+        trial's outcome without executing (see :class:`TrialRunner`).
         """
         config = self.config
         trial_seed = derive_trial_seed(config.base_seed, index)
         sanitize_run = sanitize_this_trial(config.sanitize, index)
+        tree = None if sanitize_run else self._tree
+        rng = self._rng
         trace: Optional[Trace] = None
         run: Optional[RunResult] = None
         error: Optional[str] = None
+        path: list = []
         t0 = time.perf_counter()
         try:
             scheduler = self._checkout_scheduler(trial_seed)
+            if tree is not None:
+                leaf, path = tree.walk(rng._randbelow_with_getrandbits)
+                if leaf is not None:
+                    self.replayed += 1
+                    return TrialRecord(index, *leaf,
+                                       elapsed_s=time.perf_counter() - t0)
+                rng.follow(path, None if tree.full else [])
+            elif rng is not None:
+                rng.follow()
             if config.artifact_dir is not None:
                 trace = Trace(scheduler=scheduler.name)
             run = self._execute(self._checkout_program(), scheduler,
@@ -513,6 +557,8 @@ class TrialRunner:
             error = summarize_exception(exc)
             run = None
         elapsed = time.perf_counter() - t0
+        if tree is not None:
+            self._learn(tree, path, run, error)
         if error is not None:
             record = TrialRecord(
                 index=index,
@@ -539,6 +585,21 @@ class TrialRunner:
             record.artifact = self._emit_artifact(
                 index, trial_seed, trace, run, error)
         return record
+
+    def _learn(self, tree: DrawTree, path: list,
+               run: Optional[RunResult], error: Optional[str]) -> None:
+        """Record a clean run's outcome under the draws it took; drop
+        the tree when the run shows the program is not a function of
+        its draws."""
+        rng = self._rng
+        if rng.diverged:
+            self._tree = None
+        elif (error is None and rng.log is not None and not rng.continuous
+                and not run.timed_out and not run.inconsistent):
+            # TrialRecord's leading fields, in order (see run()).
+            leaf = (run.bug_found, run.limit_exceeded, run.steps, run.k)
+            if not tree.insert(path[:rng.consumed] + rng.log, leaf):
+                self._tree = None
 
     # -- artifacts -----------------------------------------------------------
 

@@ -111,8 +111,7 @@ class ExecutionState:
         self.visibility = VisibilityTracker(self.graph, memoize=fast)
         self.races = RaceDetector(fast=fast)
         self.spins = SpinTracker(spin_threshold)
-        n = len(self.threads)
-        self.clocks: List[Tuple[int, ...]] = [(0,) * n for _ in range(n)]
+        self._zero_clocks()
         self.steps = 0
         self.k = 0
         self.k_com = 0
@@ -148,8 +147,7 @@ class ExecutionState:
         self.visibility.reset()
         self.races.reset()
         self.spins.clear()
-        n = len(self.threads)
-        self.clocks = [(0,) * n for _ in range(n)]
+        self._zero_clocks()
         self.steps = 0
         self.k = 0
         self.k_com = 0
@@ -157,6 +155,12 @@ class ExecutionState:
         self._enabled_cache = None
         self._unfinished = sum(1 for t in self.threads if not t.finished)
         self.sanitizer = None
+
+    def _zero_clocks(self) -> None:
+        """One all-zero clock per thread (clocks are immutable tuples,
+        so every thread shares one)."""
+        n = len(self.threads)
+        self.clocks: List[Tuple[int, ...]] = [(0,) * n] * n
 
     def spawn_thread(self, body, args, name: Optional[str],
                      parent_tid: int) -> ThreadState:

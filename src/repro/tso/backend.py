@@ -57,7 +57,7 @@ TSO-forbidden but C11-consistent execution passes it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from ..memory.events import Event
 from ..runtime.errors import (
@@ -154,19 +154,39 @@ class TsoExecutionState(ExecutionState):
 
     def __init__(self, program: Program, spin_threshold: int = 8,
                  fast: bool = True):
+        self._owners: Tuple[str, ...] = ()
         super().__init__(program, spin_threshold, fast=fast)
         self._install_agents()
 
+    def _zero_clocks(self) -> None:
+        # Called before the agents join ``threads``: one clock per real
+        # thread and one per agent.
+        n2 = 2 * len(self.threads)
+        self.clocks = [(0,) * n2] * n2
+
     def _install_agents(self) -> None:
-        n = len(self.threads)
+        """Append the flush agents, reusing last run's while the real
+        threads keep their names (a reset agent is a fresh one)."""
+        threads = self.threads
+        n = len(threads)
         self.n_real = n
-        #: Per-thread FIFO of pending FlushOps (deque: flushes pop the head).
-        self.buffers: List[Deque[FlushOp]] = [deque() for _ in range(n)]
-        self.agents = [FlushAgent(n + i, self.threads[i].name)
-                       for i in range(n)]
-        self.threads.extend(self.agents)
-        n2 = 2 * n
-        self.clocks = [(0,) * n2 for _ in range(n2)]
+        owners = tuple(t.name for t in threads)
+        if owners != self._owners:
+            self._owners = owners
+            #: Per-thread FIFO of pending FlushOps (flushes pop the head).
+            self.buffers: List[Deque[FlushOp]] = [deque() for _ in range(n)]
+            self.agents = [FlushAgent(n + i, name)
+                           for i, name in enumerate(owners)]
+        else:
+            # An errored run may leave stores buffered.
+            for buffer in self.buffers:
+                buffer.clear()
+            for agent in self.agents:
+                agent.pending = None
+                agent.result = None
+                agent.pending_sync_sources.clear()
+                agent.events_executed = 0
+        threads.extend(self.agents)
         # Flush agents are deliberately absent from _by_name: joins may
         # only target real threads.
 
