@@ -45,7 +45,9 @@ class PCTWMNoDelay(PCTWMScheduler):
                 and op.uid not in self._counted:
             self._counted.add(op.uid)
             self._i += 1
-            if self._i in self._slot_by_count:
+            slot = self._slot_by_count.get(self._i)
+            if slot is not None:
+                self._observe((self._i, slot))
                 self._reordered.add(op.uid)
         return tid
 

@@ -80,9 +80,10 @@ class SchedulerSpec:
     #: and inherit ``Scheduler.reseed``, so one instance may be reseeded
     #: and reused across trials with seed-for-seed identical results.
     #: They also take every random decision from ``self.rng``, so a run
-    #: is a function of the scheduler's draws, and a campaign may swap
-    #: in a :class:`~repro.runtime.draws.DrawRandom` to replay trials
-    #: whose draws repeat.  Arbitrary user factories (closures) make no
+    #: is a function of its live draws and of the change points it
+    #: reached (a priority scheduler's whole plan need not fire), and a
+    #: campaign may swap in a :class:`~repro.runtime.draws.DrawRandom`
+    #: to replay trials that repeat.  Arbitrary user factories (closures) make no
     #: such promise, so the campaign fast path only reuses instances
     #: built from a spec.
     supports_reuse = True

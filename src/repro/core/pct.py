@@ -16,7 +16,7 @@ coherence-visible write set.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from ..memory.events import Event
 from ..runtime.scheduler import ReadContext
@@ -39,22 +39,29 @@ class PCTScheduler(PriorityScheduler):
         if k_events < 1:
             raise ValueError("k_events must be >= 1")
         self.k_events = k_events
-        self._change_points: Set[int] = set()
+        #: This run's change points: ``{step: slot}``, and ``(step,
+        #: slot)`` sorted by step with the index of the next to pass.
         self._slots: dict = {}
+        self._points: list = []
+        self._next = 0
         self._executed = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def on_run_start(self, state) -> None:
-        self.assign_initial_priorities([t.tid for t in state.threads])
-        self._executed = 0
+    def _draw_points(self) -> list:
         count = max(self.depth - 1, 0)
         universe = range(1, max(self.k_events, count) + 1)
-        points = sorted(self.rng.sample(list(universe), count))
+        points = sorted(self.rng.sample(universe, count))
         # The j-th change point (in firing order) moves its thread to slot
         # d-1-j, so later change points produce lower priorities.
-        self._slots = {p: self.depth - 1 - j for j, p in enumerate(points)}
-        self._change_points = set(points)
+        return [(p, self.depth - 1 - j) for j, p in enumerate(points)]
+
+    def on_run_start(self, state) -> None:
+        keys = self._start_plan(state)
+        self._executed = 0
+        self._points = keys
+        self._next = 0
+        self._slots = dict(keys)
 
     def on_event_executed(self, state, event: Event, info: dict) -> None:
         self._executed += 1
@@ -67,12 +74,28 @@ class PCTScheduler(PriorityScheduler):
             diverted = self.divert_if_spinning(state, tid)
             if diverted is not None:
                 return diverted
-            step = self._executed + 1
-            if step in self._change_points:
-                self._change_points.discard(step)
-                self.lower_priority(tid, self._slots[step])
+            self._i = step = self._executed + 1
+            slot = self._pass_points(step)
+            if slot is not None:
+                self.lower_priority(tid, slot)
                 continue
             return tid
+
+    def _pass_points(self, step: int):
+        """Pass the change points up to ``step``; the slot of the one at
+        ``step``, if any.  A point whose step went by unchecked (the step
+        ran a diverted thread) never fires."""
+        points = self._points
+        j = self._next
+        slot = None
+        while j < len(points) and points[j][0] <= step:
+            key = points[j]
+            self._observe(key)
+            if key[0] == step:
+                slot = key[1]
+            j += 1
+        self._next = j
+        return slot
 
     def choose_read_from(self, state, ctx: ReadContext) -> Event:
         return self.rng.choice(ctx.candidates)

@@ -64,7 +64,6 @@ class PCTWMScheduler(PriorityScheduler):
         self.k_com = k_com
         self.history = history
         # Per-run state, reset by on_run_start.
-        self._i = 0
         self._counted: Set[int] = set()
         self._reordered: Set[int] = set()
         self._slot_by_count: Dict[int, int] = {}
@@ -86,12 +85,7 @@ class PCTWMScheduler(PriorityScheduler):
 
     # -- lifecycle ------------------------------------------------------------
 
-    def on_run_start(self, state) -> None:
-        self.assign_initial_priorities([t.tid for t in state.threads])
-        self._i = 0
-        self._counted.clear()
-        self._reordered.clear()
-        self._last_sc = None
+    def _draw_points(self) -> list:
         # sample() only indexes its population: the range draws exactly
         # what its list would.
         universe = range(1, max(self.k_com, self.depth) + 1)
@@ -99,10 +93,19 @@ class PCTWMScheduler(PriorityScheduler):
         # Tuple entry d_k (1-based k) maps to priority slot d-k: the first
         # tuple entry gets the highest of the low slots, so the selected
         # sinks execute in tuple order (Algorithm 1, lines 10-11).
+        keys = [(point, self.depth - (k + 1))
+                for k, point in enumerate(points)]
+        keys.sort()
+        return keys
+
+    def on_run_start(self, state) -> None:
+        keys = self._start_plan(state)
+        self._counted.clear()
+        self._reordered.clear()
+        self._last_sc = None
         slot_by_count = self._slot_by_count
         slot_by_count.clear()
-        for k, point in enumerate(points):
-            slot_by_count[point] = self.depth - (k + 1)
+        slot_by_count.update(keys)
         # The fast engine uses array-backed views over the graph's dense
         # location ids; the reference engine keeps Definition 1's dict
         # views.  Both implement the same join semilattice, so the
@@ -185,6 +188,7 @@ class PCTWMScheduler(PriorityScheduler):
                     self._i += 1
                     slot = self._slot_by_count.get(self._i)
                     if slot is not None:
+                        self._observe((self._i, slot))
                         self.lower_priority(tid, slot)
                         self._reordered.add(op.uid)
                         continue

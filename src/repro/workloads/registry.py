@@ -159,10 +159,10 @@ class ProgramSpec:
     #: run after run.  The campaign fast path uses this to build the
     #: program once per worker instead of once per trial; arbitrary
     #: factory closures make no such promise and are rebuilt every time.
-    #: The same promise makes a run a function of the scheduler's draws
-    #: (no hidden state, clock or global counter steers it), which lets
-    #: a campaign replay a trial whose draws repeat an earlier one's
-    #: (:mod:`repro.runtime.draws`).
+    #: The same promise makes a run a function of its live draws and of
+    #: the change points it reached (no hidden state, clock or global
+    #: counter steers it), which lets a campaign replay a trial that
+    #: repeats an earlier one (:mod:`repro.runtime.draws`).
     supports_reuse = True
 
     def __post_init__(self) -> None:
